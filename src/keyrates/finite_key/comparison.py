@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ..asymptotic import BoundaryCurve, EmptyCurve
 from ..channel import ChannelDetectorModel
 from ..photon_source import NonPhysicalSource, SourceKind, SourceSpec
@@ -26,6 +28,7 @@ from .core import (
 from .wcp import (
     DecoyInfeasible,
     WcpIntensities,
+    _wcp_rates,
     wcp_asymptotic_practical_rate,
     wcp_finite_key_rate,
 )
@@ -59,11 +62,18 @@ class NoCrossover(RuntimeError):
 
 @dataclass(frozen=True)
 class CompareReport:
+    """Tuned rates at the configured loss, plus the crossover scan.
+
+    ``scan`` holds the ``(loss_db, r_sps, r_wcp)`` rows of the crossover
+    scan, from 0 dB in steps of ``CROSSOVER_SCAN_STEP_DB``.
+    """
+
     loss_db: float
     r_sps: float
     r_wcp: float
     advantage_db: float
     crossover_loss_db: float
+    scan: tuple[tuple[float, float, float], ...]
 
 
 def advantage_db(r_sps: float, r_wcp: float) -> float:
@@ -143,6 +153,11 @@ def optimized_wcp_rate(
     comparator runs on the conventional 50:50 receiver split
     (``WCP_RECEIVER_Z_RATIO``) rather than the single-photon
     receiver's 9:1 optics.
+
+    In finite mode the whole grid is scored in one array call
+    (``_wcp_rates``) and its first best point seeds the refinement,
+    which evaluates the scalar ``wcp_finite_key_rate`` one point at a
+    time; the returned rate and parameters come from the scalar path.
     """
     if not asymptotic:
         proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
@@ -172,21 +187,22 @@ def optimized_wcp_rate(
         except (DecoyInfeasible, ValueError):
             return 0.0
 
-    best_rate = -1.0
-    best = (proto.q_z_tx, 0.5, 0.1, 0.8, 0.5)
-    for q_tx in q_candidates:
-        for mu_s in WCP_MU_SIGNAL_GRID:
-            for mu_d in WCP_MU_DECOY_GRID:
-                if mu_d >= mu_s:
-                    continue
-                for p_s in WCP_P_SIGNAL_GRID:
-                    for share in WCP_P_DECOY_SHARE_GRID:
-                        rate = rate_at(q_tx, mu_s, mu_d, p_s, share)
-                        if rate > best_rate:
-                            best_rate = rate
-                            best = (q_tx, mu_s, mu_d, p_s, share)
-
-    q_tx, mu_s, mu_d, p_s, share = best
+    # Every grid point passes the guard of rate_at, so the kernel scores
+    # the same rates as the per-point scan would.
+    grid = [
+        (q_tx, mu_s, mu_d, p_s, share)
+        for q_tx in q_candidates
+        for mu_s in WCP_MU_SIGNAL_GRID
+        for mu_d in WCP_MU_DECOY_GRID
+        if mu_d < mu_s
+        for p_s in WCP_P_SIGNAL_GRID
+        for share in WCP_P_DECOY_SHARE_GRID
+    ]
+    q_g, mu_s_g, mu_d_g, p_s_g, share_g = (np.array(column) for column in zip(*grid))
+    scores = _wcp_rates(
+        mu_s_g, mu_d_g, p_s_g, (1.0 - p_s_g) * share_g, q_g, channel, proto, sec, concentration
+    )
+    q_tx, mu_s, mu_d, p_s, share = grid[int(np.argmax(scores))]
     for _ in range(2):
         mu_s, _ = _golden_max(lambda v: rate_at(q_tx, v, min(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
         mu_d, _ = _golden_max(lambda v: rate_at(q_tx, mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
@@ -220,16 +236,10 @@ def compare(
 
     r_sps, r_wcp = rates_at(channel.channel_loss_db)
 
-    losses = []
-    step = CROSSOVER_SCAN_STEP_DB
-    loss = 0.0
-    while loss <= CROSSOVER_SCAN_MAX_DB:
-        losses.append(loss)
-        loss += step
-    margins = []
-    for loss in losses:
-        s, w = rates_at(loss)
-        margins.append(s - w)
+    steps = int(CROSSOVER_SCAN_MAX_DB / CROSSOVER_SCAN_STEP_DB)
+    losses = [i * CROSSOVER_SCAN_STEP_DB for i in range(steps + 1)]
+    scan = tuple((loss, *rates_at(loss)) for loss in losses)
+    margins = [s - w for _, s, w in scan]
     if max(margins) <= 0.0:
         raise NoCrossover(
             f"SPS never exceeds WCP for losses in [0, {CROSSOVER_SCAN_MAX_DB}] dB"
@@ -256,6 +266,7 @@ def compare(
         r_wcp=r_wcp,
         advantage_db=advantage_db(r_sps, r_wcp),
         crossover_loss_db=crossover,
+        scan=scan,
     )
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..asymptotic import wcp_asymptotic_rate
+import numpy as np
+
 from ..channel import ChannelDetectorModel, dark_count_prob, link_transmittance
 from .core import (
     KeyReport,
@@ -98,37 +99,41 @@ def _sampling_correction(eps: float, rate: float, n_x: float, n_z: float) -> flo
     return math.sqrt(spread * variance / math.log(2.0) * math.log2(log_arg))
 
 
+def _yield_floor(lo, up, tau0, tau1, mu_s, mu_d):
+    """Vacuum and single-photon count floors from per-intensity bounds.
+
+    ``lo`` and ``up`` hold the signal, decoy and vacuum bounds rescaled
+    to emission rates. Pure arithmetic, so floats and NumPy arrays give
+    bit-identical results.
+    """
+    s0 = tau0 * lo[2]
+    s1 = (
+        tau1
+        * mu_s
+        * (lo[1] - up[2] - (mu_d * mu_d / (mu_s * mu_s)) * (up[0] - s0 / tau0))
+        / (mu_s * mu_d - mu_d * mu_d)
+    )
+    return s0, s1
+
+
 def wcp_finite_key_rate(
     intensities: WcpIntensities,
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
     sec: SecurityParams,
     concentration: str = "hoeffding",
-    asymptotic: bool = False,
 ) -> KeyReport:
     """Finite-key rate of the three-intensity decoy comparator.
 
     Expected tallies are generated from the channel model so that the
     Z-basis detections across all intensities match the configured
-    block size. With ``asymptotic=True`` the ideal infinite-decoy
-    ceiling ``eta / e`` is returned instead.
+    block size. ``_wcp_rates`` is the elementwise twin of this function
+    for parameter grids; a change to the analysis goes into both.
     """
-    eta = link_transmittance(channel)
-    if asymptotic:
-        rate = wcp_asymptotic_rate(eta)
-        return KeyReport(
-            key_length=math.inf,
-            rate_per_pulse=rate,
-            n_pulses_sent=math.inf,
-            multi_photon_cap=0.0,
-            secure_detections=math.inf,
-            phase_error_bound=0.0,
-            lambda_ec=math.inf,
-            qber=0.0,
-        )
     if concentration not in CONCENTRATIONS:
         raise ValueError(f"concentration must be one of {CONCENTRATIONS}")
 
+    eta = link_transmittance(channel)
     p_dc = dark_count_prob(channel)
     p_mis = channel.misalignment_prob
     mus = [intensities.mu_signal, intensities.mu_decoy, 0.0]
@@ -176,21 +181,9 @@ def wcp_finite_key_rate(
     tau0 = _tau(0, mus, probs)
     tau1 = _tau(1, mus, probs)
     mu_s, mu_d = mus[0], mus[1]
-    denom = mu_s * mu_d - mu_d * mu_d
 
-    def single_photon_floor(counts: list[float]) -> tuple[float, float]:
-        lo, up = bounds(counts, sum(counts))
-        s0 = tau0 * lo[2]
-        s1 = (
-            tau1
-            * mu_s
-            * (lo[1] - up[2] - (mu_d * mu_d / (mu_s * mu_s)) * (up[0] - s0 / tau0))
-            / denom
-        )
-        return s0, s1
-
-    s_z0, s_z1 = single_photon_floor(n_zk)
-    s_x0, s_x1 = single_photon_floor(n_xk)
+    s_z0, s_z1 = _yield_floor(*bounds(n_zk, sum(n_zk)), tau0, tau1, mu_s, mu_d)
+    _, s_x1 = _yield_floor(*bounds(n_xk, sum(n_xk)), tau0, tau1, mu_s, mu_d)
     if intensities.p_signal > 0 and intensities.p_decoy > 0 and s_z1 < 0:
         raise DecoyInfeasible(
             f"single-photon Z yield bound is negative ({s_z1:.4g})"
@@ -230,6 +223,127 @@ def wcp_finite_key_rate(
         lambda_ec=lambda_ec,
         qber=qber_z,
     )
+
+
+def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` elementwise, for arguments already in [0, 1]."""
+    inside = (p > 0.0) & (p < 1.0)
+    return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
+
+
+def _wcp_rates(
+    mu_s,
+    mu_d,
+    p_s,
+    p_d,
+    q_z_tx,
+    channel: ChannelDetectorModel,
+    proto: ProtocolConfig,
+    sec: SecurityParams,
+    concentration: str,
+) -> np.ndarray:
+    """``wcp_finite_key_rate(...).rate_per_pulse`` over broadcast parameter arrays.
+
+    Element i scores ``WcpIntensities(mu_s[i], mu_d[i], p_s[i], p_d[i])``
+    under ``replace(proto, q_z_tx=q_z_tx[i])``, with the expressions of
+    the scalar path evaluated in the same order. Wherever the scalar
+    path raises for a point (invalid intensities or basis ratio, zero
+    gain, a negative single-photon Z bound, or a sampling-correction
+    logarithm below one) the rate is exactly 0. One call costs several
+    scalar evaluations, so per-point callers keep the scalar function.
+    """
+    if concentration not in CONCENTRATIONS:
+        raise ValueError(f"concentration must be one of {CONCENTRATIONS}")
+    mu_s, mu_d, p_s, p_d, q_z_tx = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (mu_s, mu_d, p_s, p_d, q_z_tx))
+    )
+    eta = link_transmittance(channel)
+    p_dc = dark_count_prob(channel)
+    p_mis = channel.misalignment_prob
+    eps_1 = sec.eps_pe / WCP_CONCENTRATION_USES
+    beta = math.log(1.0 / eps_1)
+
+    # Points the scalar path rejects may produce inf or nan below; the
+    # mask at the end sets them to 0.
+    with np.errstate(all="ignore"):
+        mus = (mu_s, mu_d, 0.0)
+        probs = (p_s, p_d, 1.0 - p_s - p_d)
+        misses = [np.exp(-eta * mu) for mu in mus]
+        gains = [1.0 - (1.0 - p_dc) * miss for miss in misses]
+        error_gains = [0.5 * p_dc * miss + p_mis * (1.0 - miss) for miss in misses]
+        q_avg = sum(p * q for p, q in zip(probs, gains))
+
+        q_sift_z = q_z_tx * proto.q_z_rx
+        q_sift_x = (1.0 - q_z_tx) * (1.0 - proto.q_z_rx)
+        n_s = proto.block_size / (q_sift_z * q_avg)
+        n_zk = [n_s * q_sift_z * p * q for p, q in zip(probs, gains)]
+        n_xk = [n_s * q_sift_x * p * q for p, q in zip(probs, gains)]
+        m_zk = [n_s * q_sift_z * p * eq for p, eq in zip(probs, error_gains)]
+        m_xk = [n_s * q_sift_x * p * eq for p, eq in zip(probs, error_gains)]
+
+        def bounds(counts, basis_total):
+            lower, upper = [], []
+            for mu, p, n in zip(mus, probs, counts):
+                scale = np.exp(mu) / p
+                if concentration == "hoeffding":
+                    delta = np.sqrt(0.5 * basis_total * beta)
+                    lo, up = n - delta, n + delta
+                else:
+                    lo = n - np.sqrt(2.0 * beta * n)
+                    up = n + beta + np.sqrt(2.0 * beta * n + beta * beta)
+                lower.append(np.where(p > 0.0, scale * np.maximum(0.0, lo), 0.0))
+                upper.append(np.where(p > 0.0, scale * up, 0.0))
+            return lower, upper
+
+        decays = [np.exp(-mu) for mu in mus]
+        tau0 = sum(p * decay for p, decay in zip(probs, decays))
+        tau1 = sum(p * decay * mu for p, decay, mu in zip(probs, decays, mus))
+
+        s_z0, s_z1 = _yield_floor(*bounds(n_zk, sum(n_zk)), tau0, tau1, mu_s, mu_d)
+        _, s_x1 = _yield_floor(*bounds(n_xk, sum(n_xk)), tau0, tau1, mu_s, mu_d)
+        infeasible = (p_s > 0) & (p_d > 0) & (s_z1 < 0)
+        s_z1 = np.maximum(0.0, s_z1)
+        s_x1 = np.maximum(0.0, s_x1)
+
+        _, m_up = bounds(m_xk, sum(n_xk))
+        v_x1 = tau1 * m_up[1] / mu_d
+
+        # _sampling_correction, reached only where both floors are positive.
+        sampled = (s_x1 > 0.0) & (s_z1 > 0.0)
+        phi = np.minimum(0.5, v_x1 / s_x1)
+        corrected = sampled & (phi > 0.0) & (phi < 1.0)
+        spread = (s_x1 + s_z1) / (s_x1 * s_z1)
+        variance = phi * (1.0 - phi)
+        log_arg = spread / variance * (21.0 / eps_1) ** 2
+        correction = np.where(
+            corrected,
+            np.sqrt(spread * variance / math.log(2.0) * np.log2(log_arg)),
+            0.0,
+        )
+        phase_error = np.where(sampled, np.minimum(0.5, phi + correction), 0.5)
+
+        n_z = proto.block_size
+        qber_z = sum(m_zk) / n_z
+        lambda_ec = sec.f_ec * n_z * _binary_entropy_array(qber_z)
+        key_length = np.maximum(
+            0.0,
+            s_z0
+            + s_z1 * (1.0 - _binary_entropy_array(phase_error))
+            - lambda_ec
+            - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+            - math.log2(2.0 / sec.eps_cor),
+        )
+        rate = key_length / n_s
+
+    valid = (
+        (0.0 < mu_d) & (mu_d < mu_s)
+        & (p_s >= 0.0) & (p_d >= 0.0) & (p_s + p_d <= 1.0)
+        & (0.0 < q_z_tx) & (q_z_tx < 1.0)
+        & (q_avg > 0.0)
+        & ~infeasible
+        & ~(corrected & (log_arg < 1.0))
+    )
+    return np.where(valid, rate, 0.0)
 
 
 def wcp_asymptotic_practical_rate(

@@ -71,11 +71,11 @@ def _sift_counts(spec: TrialSpec) -> tuple[int, int, float, float, float]:
     return sift_z, sift_x, n_s, stats.q, stats.qber
 
 
-def simulate_trial(spec: TrialSpec, rng: np.random.Generator | None = None) -> TallySet:
-    """One stochastic realisation of the experiment's tallies."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    sift_z, sift_x, n_s, q, qber = _sift_counts(spec)
+def _draw_tallies(
+    counts: tuple[int, int, float, float, float], rng: np.random.Generator
+) -> TallySet:
+    """Binomial detections and errors per basis for ``_sift_counts`` output."""
+    sift_z, sift_x, n_s, q, qber = counts
     n_z = int(rng.binomial(sift_z, q))
     m_z = int(rng.binomial(n_z, qber)) if n_z > 0 else 0
     n_x = int(rng.binomial(sift_x, q))
@@ -89,6 +89,13 @@ def simulate_trial(spec: TrialSpec, rng: np.random.Generator | None = None) -> T
     )
 
 
+def simulate_trial(spec: TrialSpec, rng: np.random.Generator | None = None) -> TallySet:
+    """One stochastic realisation of the experiment's tallies."""
+    if rng is None:
+        rng = np.random.default_rng(spec.seed)
+    return _draw_tallies(_sift_counts(spec), rng)
+
+
 def iter_trials(spec: TrialSpec):
     """Per-repetition tallies with their distilled key length and rate.
 
@@ -97,8 +104,9 @@ def iter_trials(spec: TrialSpec):
     instead of aborting the run.
     """
     _, launched = _expected_launched(spec)
+    counts = _sift_counts(spec)
     for child in np.random.SeedSequence(spec.seed).spawn(spec.repetitions):
-        tallies = simulate_trial(spec, np.random.default_rng(child))
+        tallies = _draw_tallies(counts, np.random.default_rng(child))
         try:
             report = sps_key_length(tallies, launched, spec.proto, spec.sec)
         except InsufficientBlock:

@@ -10,14 +10,26 @@ from keyrates.finite_key import (
     NoCrossover,
     ProtocolConfig,
     SecurityParams,
+    WcpIntensities,
     compare,
     finite_boundary,
     optimized_sps_rate,
     optimized_wcp_rate,
     sps_expected_rate,
     sweep_rates,
+    wcp_finite_key_rate,
 )
-from keyrates.finite_key.comparison import advantage_db
+from keyrates.finite_key.comparison import (
+    CROSSOVER_SCAN_MAX_DB,
+    Q_TX_GRID,
+    WCP_MU_DECOY_GRID,
+    WCP_MU_SIGNAL_GRID,
+    WCP_P_DECOY_SHARE_GRID,
+    WCP_P_SIGNAL_GRID,
+    WCP_RECEIVER_Z_RATIO,
+    _golden_max,
+    advantage_db,
+)
 from keyrates.photon_source import SourceKind, SourceSpec
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
@@ -62,6 +74,50 @@ class TestOptimizedRates:
         _, _, proto = optimized_wcp_rate(FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert proto.q_z_rx == 0.5
 
+    @pytest.mark.parametrize("concentration", ["hoeffding", "chernoff"])
+    # At 50 dB every grid point scores 0 and the first one must win.
+    @pytest.mark.parametrize("loss_db", [0.0, 14.6, 30.0, 50.0])
+    def test_wcp_grid_kernel_picks_the_scalar_scan_point(self, loss_db, concentration):
+        channel = replace(FIELD_CHANNEL, channel_loss_db=loss_db)
+        tuned = optimized_wcp_rate(channel, FIELD_PROTO, FIELD_SEC, concentration=concentration)
+        reference = _scalar_wcp_tuner(channel, FIELD_PROTO, FIELD_SEC, concentration)
+        assert tuned == reference
+
+
+def _scalar_wcp_tuner(channel, proto, sec, concentration):
+    """Reference finite-mode WCP tuner scoring its grid one point at a time."""
+    proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
+
+    def rate_at(q_tx, mu_s, mu_d, p_s, share):
+        if not 0.0 < mu_d < mu_s or not 0.0 < p_s < 1.0 or not 0.0 < share < 1.0:
+            return 0.0
+        cfg = replace(proto, q_z_tx=q_tx)
+        try:
+            ints = WcpIntensities(mu_s, mu_d, p_s, (1.0 - p_s) * share)
+            return wcp_finite_key_rate(ints, channel, cfg, sec, concentration).rate_per_pulse
+        except ValueError:  # DecoyInfeasible included
+            return 0.0
+
+    best_rate, best = -1.0, None
+    for q_tx in Q_TX_GRID:
+        for mu_s in WCP_MU_SIGNAL_GRID:
+            for mu_d in WCP_MU_DECOY_GRID:
+                if mu_d >= mu_s:
+                    continue
+                for p_s in WCP_P_SIGNAL_GRID:
+                    for share in WCP_P_DECOY_SHARE_GRID:
+                        rate = rate_at(q_tx, mu_s, mu_d, p_s, share)
+                        if rate > best_rate:
+                            best_rate, best = rate, (q_tx, mu_s, mu_d, p_s, share)
+    q_tx, mu_s, mu_d, p_s, share = best
+    for _ in range(2):
+        mu_s, _ = _golden_max(lambda v: rate_at(q_tx, v, min(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
+        mu_d, _ = _golden_max(lambda v: rate_at(q_tx, mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
+        p_s, _ = _golden_max(lambda v: rate_at(q_tx, mu_s, mu_d, v, share), 0.05, 0.98, 20)
+        share, best_rate = _golden_max(lambda v: rate_at(q_tx, mu_s, mu_d, p_s, v), 0.02, 0.98, 20)
+    intensities = WcpIntensities(mu_s, mu_d, p_s, (1.0 - p_s) * share)
+    return max(best_rate, 0.0), intensities, replace(proto, q_z_tx=q_tx)
+
 
 class TestCompare:
     def test_field_numbers(self):
@@ -69,6 +125,11 @@ class TestCompare:
         assert report.advantage_db == pytest.approx(2.53, abs=1.0)
         assert report.crossover_loss_db == pytest.approx(19.0, abs=2.0)
         assert report.r_sps > report.r_wcp > 0.0
+        # The scan rows are the tuned rates a sweep reports at the same losses.
+        losses = [float(i) for i in range(int(CROSSOVER_SCAN_MAX_DB) + 1)]
+        assert [row[0] for row in report.scan] == losses
+        swept = sweep_rates(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, [0.0, 17.0])
+        assert [report.scan[0], report.scan[17]] == [row[:3] for row in swept]
 
     def test_no_crossover_for_weak_source(self):
         source = SourceSpec(SourceKind.SPS, 0.05, 0.5)

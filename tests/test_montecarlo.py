@@ -141,3 +141,11 @@ class TestRateDistribution:
         short = list(iter_trials(replace(FIELD_SPEC, repetitions=3)))
         longer = list(iter_trials(replace(FIELD_SPEC, repetitions=6)))
         assert [t for t, _, _ in short] == [t for t, _, _ in longer[:3]]
+
+    def test_trials_draw_the_simulate_trial_tallies(self):
+        from keyrates.montecarlo import iter_trials
+
+        spec = replace(FIELD_SPEC, repetitions=5)
+        children = np.random.SeedSequence(spec.seed).spawn(spec.repetitions)
+        expected = [simulate_trial(spec, np.random.default_rng(c)) for c in children]
+        assert [t for t, _, _ in iter_trials(spec)] == expected

@@ -4,7 +4,10 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from keyrates.asymptotic import wcp_asymptotic_rate
 from keyrates.channel import ChannelDetectorModel, link_transmittance
 from keyrates.finite_key import (
     DecoyInfeasible,
@@ -14,6 +17,7 @@ from keyrates.finite_key import (
     wcp_asymptotic_practical_rate,
     wcp_finite_key_rate,
 )
+from keyrates.finite_key.wcp import CONCENTRATIONS, _wcp_rates
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
 FIELD_SEC = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16)
@@ -37,13 +41,12 @@ class TestIntensities:
 class TestAsymptoticMode:
     def test_unit_transmittance_ceiling(self):
         channel = ChannelDetectorModel(0.0, 1.0, 1.0, 43.0, 3.42e-9, 0.0254)
-        report = wcp_finite_key_rate(INTENSITIES, channel, PROTO, FIELD_SEC, asymptotic=True)
-        assert report.rate_per_pulse == pytest.approx(1.0 / math.e, abs=1e-12)
+        rate = wcp_asymptotic_rate(link_transmittance(channel))
+        assert rate == pytest.approx(1.0 / math.e, abs=1e-12)
 
     def test_ceiling_scales_with_link(self):
-        report = wcp_finite_key_rate(INTENSITIES, FIELD_CHANNEL, PROTO, FIELD_SEC, asymptotic=True)
         eta = link_transmittance(FIELD_CHANNEL)
-        assert report.rate_per_pulse == pytest.approx(eta / math.e, rel=1e-12)
+        assert wcp_asymptotic_rate(eta) == pytest.approx(eta / math.e, rel=1e-12)
 
 
 class TestFiniteMode:
@@ -111,3 +114,56 @@ class TestAsymptoticPractical:
         )
         assert finite.rate_per_pulse < best_asym
         assert finite.rate_per_pulse > 0.5 * best_asym
+
+
+def _scalar_rate(mu_s, mu_d, p_s, p_d, q_z_tx, channel, proto, sec, concentration):
+    """Per-point rate, 0 wherever the scalar path raises."""
+    try:
+        intensities = WcpIntensities(mu_s, mu_d, p_s, p_d)
+        cfg = replace(proto, q_z_tx=q_z_tx)
+        return wcp_finite_key_rate(intensities, channel, cfg, sec, concentration).rate_per_pulse
+    except ValueError:  # invalid intensities, DecoyInfeasible, math domain error
+        return 0.0
+
+
+_probability = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+_point = st.tuples(
+    st.floats(min_value=0.01, max_value=1.2),  # mu_signal
+    st.floats(min_value=0.01, max_value=1.2),  # mu_decoy, either side of mu_signal
+    _probability,  # p_signal
+    st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.1)),  # decoy share of the rest
+    st.floats(min_value=0.05, max_value=0.99),  # q_z_tx
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    concentration=st.sampled_from(CONCENTRATIONS),
+    loss_db=st.floats(min_value=0.0, max_value=35.0),
+    dark_count_rate=st.sampled_from([0.0, 43.0, 4.3e4]),
+    log_block=st.floats(min_value=3.0, max_value=12.0),
+    log_eps_pe=st.floats(min_value=-12.0, max_value=-0.3),
+    points=st.lists(_point, min_size=1, max_size=8),
+)
+def test_kernel_matches_scalar_path(
+    concentration, loss_db, dark_count_rate, log_block, log_eps_pe, points
+):
+    # The kernel and the scalar path evaluate the same expressions, but
+    # NumPy's exp and log may differ from libm's in the last bit, and
+    # near-zero rates lose digits to cancellation; the coherent-light
+    # ceiling eta / e sets the scale of the tolerance.
+    channel = replace(
+        FIELD_CHANNEL, channel_loss_db=loss_db, dark_count_rate_cps=dark_count_rate
+    )
+    proto = replace(PROTO, block_size=10.0**log_block)
+    sec = replace(FIELD_SEC, eps_pe=10.0**log_eps_pe)
+    columns = [
+        (mu_s, mu_d, p_s, (1.0 - p_s) * share, q)
+        for mu_s, mu_d, p_s, share, q in points
+    ]
+    kernel = _wcp_rates(*zip(*columns), channel, proto, sec, concentration)
+    tolerance = 1e-10 * link_transmittance(channel) / math.e
+    for point, got in zip(columns, kernel):
+        expected = _scalar_rate(*point, channel, proto, sec, concentration)
+        assert (got == 0.0) == (expected == 0.0), point
+        assert abs(got - expected) <= tolerance, point
