@@ -93,12 +93,12 @@ def dark_count_prob(model: ChannelDetectorModel) -> float:
     return p_dc
 
 
-def detection_stats(
-    dist: PhotonNumberDistribution, eta: float, model: ChannelDetectorModel
-) -> DetectionStats:
-    """Gain, error gain and QBER of a distribution at transmittance eta.
+def photon_yields(
+    eta: float, model: ChannelDetectorModel, n_max: int
+) -> tuple[list[float], list[float]]:
+    """Click and error-click probabilities of n = 0 .. n_max photons.
 
-    Yields follow the threshold-detector model; the error-weighted
+    ``Y_n = p_dc + (1 - p_dc)(1 - (1 - eta)^n)``; the error-weighted
     yield is ``(1/2) p_dc (1 - eta)^n + p_mis (1 - (1 - eta)^n)``, i.e.
     dark-count-only clicks err half the time and photon clicks err with
     the misalignment probability.
@@ -107,16 +107,29 @@ def detection_stats(
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     p_dc = dark_count_prob(model)
     p_mis = model.misalignment_prob
-    yields = []
-    q = 0.0
-    qe = 0.0
     log_miss = math.log1p(-eta) if eta < 1.0 else -math.inf
-    for n, p_n in enumerate(dist.probs):
+    yields = []
+    error_yields = []
+    for n in range(n_max + 1):
         # survive = 1 - (1 - eta)^n via expm1, stable for small eta * n.
         survive = -math.expm1(n * log_miss) if n > 0 else 0.0
-        y_n = p_dc + (1.0 - p_dc) * survive
-        yields.append(y_n)
+        yields.append(p_dc + (1.0 - p_dc) * survive)
+        error_yields.append(0.5 * p_dc * (1.0 - survive) + p_mis * survive)
+    return yields, error_yields
+
+
+def detection_stats(
+    dist: PhotonNumberDistribution, eta: float, model: ChannelDetectorModel
+) -> DetectionStats:
+    """Gain, error gain and QBER of a distribution at transmittance eta.
+
+    The per-photon-number yields come from ``photon_yields``.
+    """
+    yields, error_yields = photon_yields(eta, model, dist.n_max)
+    q = 0.0
+    qe = 0.0
+    for p_n, y_n, e_n in zip(dist.probs, yields, error_yields):
         q += p_n * y_n
-        qe += p_n * (0.5 * p_dc * (1.0 - survive) + p_mis * survive)
+        qe += p_n * e_n
     qber = qe / q if q > 0.0 else 0.5
     return DetectionStats(yields=tuple(yields), q=q, qe=qe, qber=qber)

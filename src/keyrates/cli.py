@@ -233,6 +233,11 @@ def _fmt(value: float) -> str:
     return format(value, ".9e")
 
 
+def _require_sps(config: ExperimentConfig, command: str) -> None:
+    if config.source.kind is not SourceKind.SPS:
+        raise ValidationError(f"{command} needs source_kind = sps, got {config.source.kind.value}")
+
+
 def _cmd_rate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     for note in config.consistency_report():
@@ -260,6 +265,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    _require_sps(config, "sweep")
     if args.steps < 2:
         raise ValidationError("--steps must be >= 2")
     losses = [
@@ -301,6 +307,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.target == "sps":
+        _require_sps(config, "optimize --target sps")
         space = SearchSpace({"q_z_tx": (0.5, 0.99), "pre_attenuation": (1e-6, 1.0)})
 
         def objective(params: dict[str, float]) -> float:
@@ -359,6 +366,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    _require_sps(config, "simulate")
     spec = TrialSpec(
         source=config.source,
         channel=config.channel,
@@ -390,6 +398,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    _require_sps(config, "compare")
     report = compare(config.source, config.channel, config.proto, config.sec)
     _, r_sps0, r_wcp0 = report.scan[0]  # the crossover scan starts at 0 dB
     max_adv = advantage_db(r_sps0, r_wcp0)
@@ -399,6 +408,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"r_wcp = {format(report.r_wcp, '.17g')}")
     print(f"max_advantage_db_near_zero = {format(max_adv, '.17g')}")
     return 0
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _grid_points(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_boundary.add_argument("config")
     p_boundary.add_argument("--loss", type=float, required=True)
     p_boundary.add_argument("--mode", choices=("asymptotic", "finite"), required=True)
-    p_boundary.add_argument("--grid-min", type=float, default=0.05)
-    p_boundary.add_argument("--grid-max", type=float, default=1.2)
-    p_boundary.add_argument("--grid-points", type=int, default=25)
+    p_boundary.add_argument("--grid-min", type=_positive_float, default=0.05)
+    p_boundary.add_argument("--grid-max", type=_positive_float, default=1.2)
+    p_boundary.add_argument("--grid-points", type=_grid_points, default=25)
     p_boundary.add_argument("--output", "-o", default=None)
     p_boundary.set_defaults(func=_cmd_boundary)
 
@@ -457,6 +486,8 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "boundary" and not args.grid_max > args.grid_min:
+            parser.error("boundary: --grid-max must be greater than --grid-min")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -23,6 +23,7 @@ from .core import (
     InsufficientBlock,
     ProtocolConfig,
     SecurityParams,
+    _sps_lanes,
     sps_expected_rate,
 )
 from .wcp import (
@@ -104,37 +105,111 @@ def _golden_max(f, lo: float, hi: float, iterations: int = 30) -> tuple[float, f
     return best, f(best)
 
 
+def _golden_max_lanes(f, lo: float, hi: float, shape, iterations: int = 30):
+    """``_golden_max`` for independent lanes searched in lockstep.
+
+    ``f`` maps an array of points of ``shape`` to their values; each
+    lane takes the same branches and returns the same point and value as
+    ``_golden_max`` would on that lane alone.
+    """
+    a, b = np.full(shape, lo), np.full(shape, hi)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iterations):
+        left = fc >= fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    best = 0.5 * (a + b)
+    return best, f(best)
+
+
+def _sps_rate_or_zero(n_mean, g2, channel, proto, sec, asymptotic) -> float:
+    """Scalar SPS rate, 0 where the pipeline rejects the point."""
+    try:
+        source = SourceSpec(SourceKind.SPS, n_mean, g2)
+        return sps_expected_rate(source, channel, proto, sec, asymptotic=asymptotic).rate_per_pulse
+    except (InsufficientBlock, NonPhysicalSource):
+        return 0.0
+
+
+def _tune_sps(
+    n_mean,
+    g2,
+    loss_db,
+    channel: ChannelDetectorModel,
+    proto: ProtocolConfig,
+    sec: SecurityParams,
+    asymptotic: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``optimized_sps_rate`` for broadcast (<n>, g2, loss) lanes at once.
+
+    Every lane searches every ``Q_TX_GRID`` candidate in lockstep: a
+    golden-section search of the pre-attenuation on [1e-4, 1] scored by
+    ``_sps_lanes``, then the unattenuated point when it scores at least
+    as well, then the first best candidate. Returns the rates, basis
+    ratios and pre-attenuations of the lanes; each rate is re-scored by
+    the scalar ``sps_expected_rate`` at the returned parameters.
+    """
+    n_mean, g2, loss_db = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (n_mean, g2, loss_db))
+    )
+    q_grid = np.array(Q_TX_GRID)
+    shape = n_mean.shape + q_grid.shape
+    rate_at = _sps_lanes(
+        n_mean[..., None], g2[..., None], q_grid, loss_db[..., None],
+        channel, proto, sec, asymptotic,
+    )
+    t, rate = _golden_max_lanes(rate_at, 1e-4, 1.0, shape)
+    unattenuated = rate_at(1.0)
+    keep_one = unattenuated >= rate
+    t = np.where(keep_one, 1.0, t)
+    rate = np.where(keep_one, unattenuated, rate)
+
+    best = np.argmax(rate, axis=-1)  # the first maximum, as a strict-> scan
+    q_best = q_grid[best]
+    t_best = np.take_along_axis(t, best[..., None], -1)[..., 0]
+    rates = np.array(
+        [
+            _sps_rate_or_zero(
+                n, g, replace(channel, channel_loss_db=loss),
+                replace(proto, q_z_tx=q, pre_attenuation=tb), sec, asymptotic,
+            )
+            for n, g, loss, q, tb in zip(
+                *(a.ravel().tolist() for a in (n_mean, g2, loss_db, q_best, t_best))
+            )
+        ]
+    ).reshape(n_mean.shape)
+    return rates, q_best, t_best
+
+
+def _sps_parameters(source: SourceSpec) -> tuple[float, float]:
+    """Mean photon number and g2 of a source the SPS tuner accepts."""
+    if source.kind is not SourceKind.SPS:
+        raise ValueError("the SPS tuner needs an SPS source")
+    return source.mean_photon_number, source.g2
+
+
 def optimized_sps_rate(
     source: SourceSpec,
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
     sec: SecurityParams,
     asymptotic: bool = False,
-    optimize_q: bool = True,
 ) -> tuple[float, ProtocolConfig]:
     """Best SPS rate over basis ratio and pre-attenuation.
 
     Returns the rate and the protocol configuration that achieves it.
     Infeasible corners (multi-photon cap swallowing the block) score
-    zero rather than raising.
+    zero rather than raising. One lane of ``_tune_sps``.
     """
-
-    def rate_at(q_tx: float, t: float) -> float:
-        cfg = replace(proto, q_z_tx=q_tx, pre_attenuation=t)
-        try:
-            return sps_expected_rate(source, channel, cfg, sec, asymptotic=asymptotic).rate_per_pulse
-        except (InsufficientBlock, NonPhysicalSource):
-            return 0.0
-
-    q_candidates = Q_TX_GRID if optimize_q else (proto.q_z_tx,)
-    best_rate, best_q, best_t = -1.0, proto.q_z_tx, 1.0
-    for q_tx in q_candidates:
-        t, rate = _golden_max(lambda t: rate_at(q_tx, t), 1e-4, 1.0)
-        if rate_at(q_tx, 1.0) >= rate:
-            t, rate = 1.0, rate_at(q_tx, 1.0)
-        if rate > best_rate:
-            best_rate, best_q, best_t = rate, q_tx, t
-    return max(best_rate, 0.0), replace(proto, q_z_tx=best_q, pre_attenuation=best_t)
+    n_mean, g2 = _sps_parameters(source)
+    rate, q_tx, t = _tune_sps(n_mean, g2, channel.channel_loss_db, channel, proto, sec, asymptotic)
+    return float(rate), replace(proto, q_z_tx=float(q_tx), pre_attenuation=float(t))
 
 
 def optimized_wcp_rate(
@@ -143,7 +218,6 @@ def optimized_wcp_rate(
     sec: SecurityParams,
     asymptotic: bool = False,
     concentration: str = "hoeffding",
-    optimize_q: bool = True,
 ) -> tuple[float, WcpIntensities, ProtocolConfig]:
     """Best decoy-WCP rate over basis ratio, intensities and probabilities.
 
@@ -161,11 +235,10 @@ def optimized_wcp_rate(
     """
     if not asymptotic:
         proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
-    q_candidates = Q_TX_GRID if optimize_q else (proto.q_z_tx,)
 
     if asymptotic:
         best = (-1.0, 1.0, proto.q_z_tx)
-        for q_tx in q_candidates:
+        for q_tx in Q_TX_GRID:
             cfg = replace(proto, q_z_tx=q_tx)
             mu, rate = _golden_max(
                 lambda m: wcp_asymptotic_practical_rate(m, channel, cfg, sec), 1e-3, 1.0
@@ -191,7 +264,7 @@ def optimized_wcp_rate(
     # the same rates as the per-point scan would.
     grid = [
         (q_tx, mu_s, mu_d, p_s, share)
-        for q_tx in q_candidates
+        for q_tx in Q_TX_GRID
         for mu_s in WCP_MU_SIGNAL_GRID
         for mu_d in WCP_MU_DECOY_GRID
         if mu_d < mu_s
@@ -228,17 +301,19 @@ def compare(
     ratio. Raises ``NoCrossover`` when the SPS never leads on the scan.
     """
 
-    def rates_at(loss_db: float) -> tuple[float, float]:
+    def wcp_at(loss_db: float) -> float:
         ch = replace(channel, channel_loss_db=loss_db)
-        r_sps, _ = optimized_sps_rate(source, ch, proto, sec)
-        r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec, concentration=concentration)
-        return r_sps, r_wcp
-
-    r_sps, r_wcp = rates_at(channel.channel_loss_db)
+        return optimized_wcp_rate(ch, proto, sec, concentration=concentration)[0]
 
     steps = int(CROSSOVER_SCAN_MAX_DB / CROSSOVER_SCAN_STEP_DB)
     losses = [i * CROSSOVER_SCAN_STEP_DB for i in range(steps + 1)]
-    scan = tuple((loss, *rates_at(loss)) for loss in losses)
+    # The configured loss and the whole scan tune their SPS side in one call.
+    n_mean, g2 = _sps_parameters(source)
+    r_sps, *scan_sps = _tune_sps(
+        n_mean, g2, [channel.channel_loss_db, *losses], channel, proto, sec
+    )[0].tolist()
+    r_wcp = wcp_at(channel.channel_loss_db)
+    scan = tuple((loss, s, wcp_at(loss)) for loss, s in zip(losses, scan_sps))
     margins = [s - w for _, s, w in scan]
     if max(margins) <= 0.0:
         raise NoCrossover(
@@ -253,8 +328,8 @@ def compare(
     lo, hi = bracket
     for _ in range(14):
         mid = 0.5 * (lo + hi)
-        s, w = rates_at(mid)
-        if s - w > 0.0:
+        s, _ = optimized_sps_rate(source, replace(channel, channel_loss_db=mid), proto, sec)
+        if s - wcp_at(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -278,11 +353,15 @@ def sweep_rates(
     losses: list[float],
     concentration: str = "hoeffding",
 ) -> list[tuple[float, float, float, float]]:
-    """Optimised (loss, r_sps, r_wcp, advantage) rows for a loss sweep."""
+    """Optimised (loss, r_sps, r_wcp, advantage) rows for a loss sweep.
+
+    The SPS side of every loss is tuned in one ``_tune_sps`` call.
+    """
+    n_mean, g2 = _sps_parameters(source)
+    sps_rates = _tune_sps(n_mean, g2, losses, channel, proto, sec)[0].tolist()
     rows = []
-    for loss in losses:
+    for loss, r_sps in zip(losses, sps_rates):
         ch = replace(channel, channel_loss_db=loss)
-        r_sps, _ = optimized_sps_rate(source, ch, proto, sec)
         r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec, concentration=concentration)
         rows.append((loss, r_sps, r_wcp, advantage_db(r_sps, r_wcp)))
     return rows
@@ -310,39 +389,31 @@ def finite_boundary(
         ch, proto, sec, asymptotic=asymptotic, concentration=concentration
     )
 
-    def sps_rate(n_mean: float, g2: float) -> float:
-        try:
-            src = SourceSpec(SourceKind.SPS, n_mean, g2)
-        except NonPhysicalSource:
-            return 0.0
-        rate, _ = optimized_sps_rate(src, ch, proto, sec, asymptotic=asymptotic)
-        return rate
+    def sps_rates(n_mean, g2) -> np.ndarray:
+        return _tune_sps(n_mean, g2, loss_db, channel, proto, sec, asymptotic)[0]
 
-    points: list[tuple[float, float]] = []
-    for n_mean in sorted(grid):
-        if sps_rate(n_mean, 0.0) < r_wcp:
-            continue
-        lo, hi = 0.0, 1.0 / n_mean
-        if sps_rate(n_mean, hi) >= r_wcp:
-            points.append((n_mean, hi))
-            continue
-        for _ in range(BOUNDARY_BISECTION_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            if sps_rate(n_mean, mid) >= r_wcp:
-                lo = mid
-            else:
-                hi = mid
-        points.append((n_mean, lo))
-    if not points:
+    # Every grid point runs its g2 bisection in lockstep with the others.
+    n_grid = np.array(sorted(grid), dtype=float)
+    n_grid = n_grid[sps_rates(n_grid, 0.0) >= r_wcp]
+    if n_grid.size == 0:
         raise EmptyCurve(f"no grid point admits an SPS advantage at {loss_db} dB")
+    g2_edge = 1.0 / n_grid
+    bisected = sps_rates(n_grid, g2_edge) < r_wcp
+    lo, hi = np.zeros(int(bisected.sum())), g2_edge[bisected]
+    for _ in range(BOUNDARY_BISECTION_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        holds = sps_rates(n_grid[bisected], mid) >= r_wcp
+        lo, hi = np.where(holds, mid, lo), np.where(holds, hi, mid)
+    g2_edge[bisected] = lo
+    points = list(zip(n_grid.tolist(), g2_edge.tolist()))
 
     # Bisect the g2 = 0 endpoint below the smallest advantaged grid point.
     hi_n = points[0][0]
     lo_n = 1e-4
-    if sps_rate(lo_n, 0.0) < r_wcp:
+    if sps_rates(lo_n, 0.0) < r_wcp:
         for _ in range(BOUNDARY_BISECTION_ITERATIONS):
             mid = 0.5 * (lo_n + hi_n)
-            if sps_rate(mid, 0.0) >= r_wcp:
+            if sps_rates(mid, 0.0) >= r_wcp:
                 hi_n = mid
             else:
                 lo_n = mid

@@ -22,10 +22,17 @@ and to leak fully, in both bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ..channel import ChannelDetectorModel, detection_stats, link_transmittance
-from ..photon_source import SourceKind, SourceSpec, attenuate, moments
+import numpy as np
+
+from ..channel import (
+    ChannelDetectorModel,
+    detection_stats,
+    link_transmittance,
+    photon_yields,
+)
+from ..photon_source import NORMALIZATION_TOL, SourceKind, SourceSpec, attenuate, moments
 
 # Chernoff draws charged against eps_pe by the SPS pipeline: the Z and X
 # multi-photon caps, the X error-count bound, and the basis-transfer
@@ -141,6 +148,12 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` elementwise, for arguments already in [0, 1]."""
+    inside = (p > 0.0) & (p < 1.0)
+    return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
 
 
 def chernoff_bound(x: float, eps: float, direction: str) -> float:
@@ -300,4 +313,158 @@ def sps_expected_rate(
         phase_error_bound=phase_error,
         lambda_ec=lambda_ec,
         qber=qber,
+    )
+
+
+def _sps_lanes(
+    n_mean,
+    g2,
+    q_z_tx,
+    loss_db,
+    channel: ChannelDetectorModel,
+    proto: ProtocolConfig,
+    sec: SecurityParams,
+    asymptotic: bool = False,
+):
+    """``_sps_rates`` with the pre-attenuation left open.
+
+    Derives every term that does not depend on the pre-attenuation once
+    for the broadcast lanes (source, detector yields, basis split) and
+    returns ``rates(pre_attenuation)``, which scores a broadcastable
+    array of transmittances against them. A search that scores many
+    pre-attenuations per lane builds the lanes once.
+    """
+    n_mean, g2, q_z_tx, loss_db = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (n_mean, g2, q_z_tx, loss_db))
+    )
+    with np.errstate(all="ignore"):
+        # sps_distribution, with the SourceSpec and distribution checks.
+        p2 = g2 * n_mean * n_mean / 2.0
+        p1_raw = n_mean - 2.0 * p2
+        p0 = 1.0 - p1_raw - p2
+        p1 = np.maximum(p1_raw, 0.0)
+        # With g2 <n> <= 1, p2 <= 1 and p0 <= 1 always, and p1 > 1 forces
+        # p0 < 0, so the lower bound is the only range check that can fail.
+        lowest = np.minimum(np.minimum(p0, p1_raw), p2)
+        lane_ok = (
+            (n_mean > 0.0) & (g2 >= 0.0) & ~(g2 * n_mean > 1.0)
+            & ~(lowest < -NORMALIZATION_TOL)
+            & (0.0 < q_z_tx) & (q_z_tx < 1.0)
+        )
+
+    # Detector yields per distinct loss, from the scalar formulas.
+    losses, index = np.unique(loss_db.ravel(), return_inverse=True)
+    per_loss = []
+    for loss in losses.tolist():
+        eta = link_transmittance(replace(channel, channel_loss_db=loss))
+        yields, error_yields = photon_yields(eta, channel, 2)
+        per_loss.append(yields + error_yields)
+    y0, y1, y2, e0, e1, e2 = (
+        column[index].reshape(loss_db.shape)
+        for column in np.array(per_loss).reshape(-1, 6).T
+    )
+
+    block = proto.block_size
+    q_sift_z = q_z_tx * proto.q_z_rx
+    q_x_tx = 1.0 - q_z_tx
+    eps_1 = sec.eps_pe / SPS_CHERNOFF_USES
+    beta = math.log(1.0 / eps_1)
+    overhead = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+    correctness = math.log2(2.0 / sec.eps_cor)
+
+    def upper(x):
+        return np.where(x <= 0.0, 0.0, x + beta + np.sqrt(2.0 * beta * x + beta * beta))
+
+    def rates(pre_attenuation) -> np.ndarray:
+        t = np.asarray(pre_attenuation, dtype=float)
+        # Points the scalar path rejects may produce inf or nan below; the
+        # mask at the end sets them to 0.
+        with np.errstate(all="ignore"):
+            # attenuate (binomial thinning), then moments of the launched light.
+            miss = 1.0 - t
+            a0 = p0 + p1 * miss + p2 * (miss * miss)
+            a1 = p1 * t + p2 * 2.0 * t * miss
+            a2 = p2 * (t * t)
+            mean = a1 + 2.0 * a2
+            g2_launched = 2.0 * a2 / (mean * mean)
+            # detection_stats and expected_tallies.
+            q = a0 * y0 + a1 * y1 + a2 * y2
+            qber = (a0 * e0 + a1 * e1 + a2 * e2) / q
+            n_s = block / (q_sift_z * q)
+            n_x = n_s * q_x_tx * (1.0 - proto.q_z_rx) * q
+            z_errors = qber * block
+            x_errors = qber * n_x
+            p2_launched = g2_launched * (mean * mean) / 2.0
+            z_multi = n_s * q_z_tx * p2_launched
+            x_multi = n_s * q_x_tx * p2_launched
+            if asymptotic:
+                n_z_floor = block - z_multi
+                insufficient = n_z_floor <= 0.0
+                n_x_floor = n_x - x_multi
+                phase_error = np.where(
+                    n_x_floor <= 0, 0.5, np.minimum(0.5, x_errors / n_x_floor)
+                )
+                lambda_ec = sec.f_ec * block * _binary_entropy_array(z_errors / block)
+                key_length = np.maximum(
+                    0.0, n_z_floor * (1.0 - _binary_entropy_array(phase_error)) - lambda_ec
+                )
+            else:
+                mp_cap_z = upper(z_multi)
+                n_z_floor = block - mp_cap_z
+                insufficient = (n_z_floor <= 0.0) & (mp_cap_z > 0.0)
+                n_z_floor = np.maximum(n_z_floor, 0.0)
+                lambda_ec = sec.f_ec * block * _binary_entropy_array(z_errors / block)
+                n_x_floor = n_x - upper(x_multi)
+                phi_x = np.minimum(0.5, upper(x_errors) / n_x_floor)
+                phase_error = np.where(
+                    n_x_floor <= 0.0,
+                    0.5,
+                    np.minimum(0.5, upper(n_z_floor * phi_x) / n_z_floor),
+                )
+                key_length = np.maximum(
+                    0.0,
+                    n_z_floor * (1.0 - _binary_entropy_array(phase_error))
+                    - lambda_ec
+                    - overhead
+                    - correctness,
+                )
+            rate = key_length / n_s
+        valid = (
+            lane_ok
+            & (0.0 < t) & (t <= 1.0)
+            & (mean > 0.0) & ~(g2_launched * mean > 1.0)
+            & (q > 0.0)
+            & ~insufficient
+        )
+        return np.where(valid, rate, 0.0)
+
+    return rates
+
+
+def _sps_rates(
+    n_mean,
+    g2,
+    q_z_tx,
+    pre_attenuation,
+    loss_db,
+    channel: ChannelDetectorModel,
+    proto: ProtocolConfig,
+    sec: SecurityParams,
+    asymptotic: bool = False,
+) -> np.ndarray:
+    """``sps_expected_rate(...).rate_per_pulse`` over broadcast parameter arrays.
+
+    Element i scores ``SourceSpec(SPS, n_mean[i], g2[i])`` on
+    ``replace(channel, channel_loss_db=loss_db[i])`` under
+    ``replace(proto, q_z_tx=q_z_tx[i], pre_attenuation=pre_attenuation[i])``,
+    with the expressions of the scalar path evaluated in the same order;
+    pre-attenuation thins ``{p0, p1, p2}`` in closed form
+    (``p2 -> t^2 p2``, ``p1 -> t p1 + 2 t (1 - t) p2``). Wherever the
+    scalar path raises ``InsufficientBlock`` or ``NonPhysicalSource``
+    (``g2 <n> > 1``, ``p0 < 0``) the rate is exactly 0. One call costs
+    several scalar evaluations, so per-point callers keep the scalar
+    function.
+    """
+    return _sps_lanes(n_mean, g2, q_z_tx, loss_db, channel, proto, sec, asymptotic)(
+        pre_attenuation
     )

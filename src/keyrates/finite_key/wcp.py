@@ -30,6 +30,7 @@ from .core import (
     KeyReport,
     ProtocolConfig,
     SecurityParams,
+    _binary_entropy_array,
     binary_entropy,
     chernoff_bound,
 )
@@ -223,12 +224,6 @@ def wcp_finite_key_rate(
         lambda_ec=lambda_ec,
         qber=qber_z,
     )
-
-
-def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` elementwise, for arguments already in [0, 1]."""
-    inside = (p > 0.0) & (p < 1.0)
-    return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
 
 
 def _wcp_rates(

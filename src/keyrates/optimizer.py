@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+from .finite_key.comparison import _golden_max
 
 
 @dataclass(frozen=True)
@@ -200,21 +200,9 @@ def _coordinate_polish(
 
     for _ in range(passes):
         for i in range(len(genes)):
-            a, b = float(lows[i]), float(highs[i])
-            c = b - GOLDEN * (b - a)
-            d = a + GOLDEN * (b - a)
-            fc, fd = value(i, c), value(i, d)
-            for _ in range(iterations):
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c = b - GOLDEN * (b - a)
-                    fc = value(i, c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + GOLDEN * (b - a)
-                    fd = value(i, d)
-            candidate = 0.5 * (a + b)
-            improved = value(i, candidate)
+            candidate, improved = _golden_max(
+                lambda x: value(i, x), float(lows[i]), float(highs[i]), iterations
+            )
             if improved > best:
                 genes[i] = candidate
                 best = improved

@@ -146,6 +146,29 @@ class TestRateCommand:
         assert run(["unknown-subcommand"]) == 2
 
 
+WCP_CFG_TEXT = (
+    FIELD_CFG_TEXT.replace("source_kind = sps", "source_kind = wcp")
+    + "mu_signal = 0.5\nmu_decoy = 0.15\np_signal = 0.7\np_decoy = 0.2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--loss-min", "0", "--loss-max", "6", "--steps", "3"],
+        ["simulate", "--reps", "2", "--seed", "1"],
+        ["compare"],
+        ["optimize", "--target", "sps", "--population", "6", "--generations", "2"],
+    ],
+)
+def test_sps_only_commands_reject_wcp_config(tmp_path, capsys, argv):
+    path = write_cfg(tmp_path, WCP_CFG_TEXT)
+    assert run([argv[0], path, *argv[1:]]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "source_kind = sps" in err[0]
+
+
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, field_cfg, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -217,6 +240,25 @@ class TestBoundaryCommand:
         points = [tuple(map(float, line.split(","))) for line in lines[1:]]
         assert points[0][1] == 0.0  # bisected minimum-mean endpoint
         assert points[0][0] == pytest.approx(0.086, rel=0.2)
+
+    @pytest.mark.parametrize(
+        "grid_args",
+        [
+            ["--grid-points", "1"],
+            ["--grid-points", "x"],
+            ["--grid-min", "0"],
+            ["--grid-min", "-0.1"],
+            ["--grid-min", "nan"],
+            ["--grid-min", "x"],
+            ["--grid-max", "inf"],
+            ["--grid-min", "0.4", "--grid-max", "0.4"],
+            ["--grid-min", "0.4", "--grid-max", "0.2"],
+        ],
+    )
+    def test_degenerate_grid_is_usage_error(self, field_cfg, capsys, grid_args):
+        argv = ["boundary", field_cfg, "--loss", "0", "--mode", "finite", *grid_args]
+        assert run(argv) == 2
+        assert "must be" in capsys.readouterr().err
 
     def test_empty_curve_exit_code(self, field_cfg):
         code = run(

@@ -7,6 +7,7 @@ import pytest
 from keyrates.asymptotic import EmptyCurve
 from keyrates.channel import ChannelDetectorModel
 from keyrates.finite_key import (
+    InsufficientBlock,
     NoCrossover,
     ProtocolConfig,
     SecurityParams,
@@ -30,7 +31,7 @@ from keyrates.finite_key.comparison import (
     _golden_max,
     advantage_db,
 )
-from keyrates.photon_source import SourceKind, SourceSpec
+from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
 FIELD_SEC = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16)
@@ -82,6 +83,98 @@ class TestOptimizedRates:
         tuned = optimized_wcp_rate(channel, FIELD_PROTO, FIELD_SEC, concentration=concentration)
         reference = _scalar_wcp_tuner(channel, FIELD_PROTO, FIELD_SEC, concentration)
         assert tuned == reference
+
+
+    @pytest.mark.parametrize("asymptotic", [False, True])
+    # At 50 dB every candidate scores 0 and the first one must win.
+    @pytest.mark.parametrize("loss_db", [0.0, 14.6, 30.0, 50.0])
+    def test_sps_lane_tuner_picks_the_scalar_scan_point(self, loss_db, asymptotic):
+        channel = replace(FIELD_CHANNEL, channel_loss_db=loss_db)
+        rate, proto = optimized_sps_rate(
+            FIELD_SOURCE, channel, FIELD_PROTO, FIELD_SEC, asymptotic=asymptotic
+        )
+        reference = _scalar_sps_tuner(FIELD_SOURCE, channel, FIELD_PROTO, FIELD_SEC, asymptotic)
+        assert (rate, proto.q_z_tx, proto.pre_attenuation) == reference
+
+    def test_sweep_tunes_each_loss_like_a_single_lane(self):
+        losses = [0.0, 14.6, 30.0, 50.0]
+        rows = sweep_rates(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, losses)
+        single = [
+            optimized_sps_rate(
+                FIELD_SOURCE, replace(FIELD_CHANNEL, channel_loss_db=loss), FIELD_PROTO, FIELD_SEC
+            )[0]
+            for loss in losses
+        ]
+        assert [row[1] for row in rows] == single
+
+    def test_sps_tuner_rejects_wcp_source(self):
+        with pytest.raises(ValueError):
+            optimized_sps_rate(
+                SourceSpec(SourceKind.WCP, 0.5), FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC
+            )
+
+
+def _scalar_sps_rate(source, channel, proto, sec, asymptotic):
+    try:
+        return sps_expected_rate(source, channel, proto, sec, asymptotic=asymptotic).rate_per_pulse
+    except (InsufficientBlock, NonPhysicalSource):
+        return 0.0
+
+
+def _scalar_sps_tuner(source, channel, proto, sec, asymptotic=False):
+    """Reference SPS tuner: one golden-section search per basis ratio, in turn."""
+
+    def rate_at(q_tx, t):
+        cfg = replace(proto, q_z_tx=q_tx, pre_attenuation=t)
+        return _scalar_sps_rate(source, channel, cfg, sec, asymptotic)
+
+    best = (-1.0, None, None)
+    for q_tx in Q_TX_GRID:
+        t, rate = _golden_max(lambda t: rate_at(q_tx, t), 1e-4, 1.0)
+        if rate_at(q_tx, 1.0) >= rate:
+            t, rate = 1.0, rate_at(q_tx, 1.0)
+        if rate > best[0]:
+            best = (rate, q_tx, t)
+    return best
+
+
+def _scalar_finite_boundary(loss_db, grid, channel, proto, sec, asymptotic):
+    """Reference break-even locus: every bisection runs alone, on the scalar tuner."""
+    ch = replace(channel, channel_loss_db=loss_db)
+    r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec, asymptotic=asymptotic)
+
+    def sps_rate(n_mean, g2):
+        try:
+            source = SourceSpec(SourceKind.SPS, n_mean, g2)
+        except NonPhysicalSource:
+            return 0.0
+        return _scalar_sps_tuner(source, ch, proto, sec, asymptotic)[0]
+
+    points = []
+    for n_mean in sorted(grid):
+        if sps_rate(n_mean, 0.0) < r_wcp:
+            continue
+        lo, hi = 0.0, 1.0 / n_mean
+        if sps_rate(n_mean, hi) >= r_wcp:
+            points.append((n_mean, hi))
+            continue
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if sps_rate(n_mean, mid) >= r_wcp:
+                lo = mid
+            else:
+                hi = mid
+        points.append((n_mean, lo))
+    hi_n, lo_n = points[0][0], 1e-4
+    if sps_rate(lo_n, 0.0) < r_wcp:
+        for _ in range(40):
+            mid = 0.5 * (lo_n + hi_n)
+            if sps_rate(mid, 0.0) >= r_wcp:
+                hi_n = mid
+            else:
+                lo_n = mid
+        points.insert(0, (hi_n, 0.0))
+    return tuple(points)
 
 
 def _scalar_wcp_tuner(channel, proto, sec, concentration):
@@ -164,6 +257,21 @@ class TestFiniteBoundary:
         )
         assert curve.min_mean_photon_number == pytest.approx(0.268, rel=0.15)
         assert curve.max_g2 == pytest.approx(0.11, rel=0.15)
+
+    # Each grid has one point below the threshold, which the curve skips.
+    @pytest.mark.parametrize(
+        "asymptotic, grid", [(False, [0.07, 0.1, 0.3]), (True, [0.2, 0.35, 0.8])]
+    )
+    def test_lockstep_bisection_matches_scalar_reference(self, asymptotic, grid):
+        curve = finite_boundary(
+            0.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, asymptotic=asymptotic
+        )
+        reference = _scalar_finite_boundary(
+            0.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, asymptotic
+        )
+        assert curve.points == reference
+        # Two bisected grid points plus the bisected g2 = 0 endpoint.
+        assert len(curve.points) == len(grid) and curve.points[0][1] == 0.0
 
     def test_empty_when_grid_below_threshold(self):
         channel = replace(FIELD_CHANNEL, channel_loss_db=25.0)

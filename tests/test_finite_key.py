@@ -4,10 +4,10 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyrates.channel import ChannelDetectorModel
+from keyrates.channel import ChannelDetectorModel, link_transmittance
 from keyrates.finite_key import (
     DomainError,
     InsufficientBlock,
@@ -20,9 +20,10 @@ from keyrates.finite_key import (
     sps_expected_rate,
     sps_key_length,
 )
-from keyrates.finite_key.core import SPS_CHERNOFF_USES
+from keyrates.finite_key.comparison import Q_TX_GRID
+from keyrates.finite_key.core import SPS_CHERNOFF_USES, _sps_rates
 from keyrates.finite_key.wcp import WCP_CONCENTRATION_USES
-from keyrates.photon_source import SourceKind, SourceSpec
+from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
 FIELD_SEC = SecurityParams(
@@ -220,3 +221,52 @@ def test_rate_and_length_are_clamped(block, g2):
         return
     assert report.key_length >= 0.0
     assert 0.0 <= report.rate_per_pulse <= 1.0
+
+
+def _scalar_sps_rate(n_mean, g2, q_z_tx, pre_attenuation, channel, asymptotic):
+    try:
+        source = SourceSpec(SourceKind.SPS, n_mean, g2)
+        proto = replace(FIELD_PROTO, q_z_tx=q_z_tx, pre_attenuation=pre_attenuation)
+        return sps_expected_rate(
+            source, channel, proto, FIELD_SEC, asymptotic=asymptotic
+        ).rate_per_pulse
+    except (InsufficientBlock, NonPhysicalSource):
+        return 0.0
+
+
+_sps_point = st.tuples(
+    st.floats(min_value=1e-6, max_value=1.5),  # <n>
+    st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),  # g2 * <n>
+    st.sampled_from(Q_TX_GRID),
+    st.one_of(st.just(1.0), st.floats(min_value=1e-4, max_value=1.0)),  # pre-attenuation
+    st.floats(min_value=0.0, max_value=60.0),  # channel loss in dB
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    asymptotic=st.booleans(),
+    dark_count_rate=st.sampled_from([0.0, 43.0, 4.3e4]),
+    points=st.lists(_sps_point, min_size=1, max_size=8),
+)
+# Random draws rarely reach p0 < 0 with a positive attenuated rate
+# (<n> = 1.2, g2 = 0.2 at t = 0.1), which the scalar path rejects.
+@example(
+    asymptotic=False,
+    dark_count_rate=43.0,
+    points=[(1.2, 0.24, 0.9, 0.1, 0.0), (1.2, 0.24, 0.9, 1.0, 0.0), (0.3, 0.1, 0.9, 0.5, 10.0)],
+)
+@example(asymptotic=True, dark_count_rate=0.0, points=[(1.2, 0.24, 0.9, 0.1, 0.0)])
+def test_sps_kernel_matches_scalar_path(asymptotic, dark_count_rate, points):
+    # Same expressions in the same order; NumPy's log2 and the product
+    # t * t may differ from libm's log2 and pow in the last bit, and
+    # near-zero rates lose digits to cancellation, so the tolerance is
+    # scaled by the coherent-light ceiling eta / e.
+    channel = replace(FIELD_CHANNEL, dark_count_rate_cps=dark_count_rate)
+    columns = [(n, share / n, q, t, loss) for n, share, q, t, loss in points]
+    kernel = _sps_rates(*zip(*columns), channel, FIELD_PROTO, FIELD_SEC, asymptotic)
+    for (n, g2, q, t, loss), got in zip(columns, kernel):
+        link = replace(channel, channel_loss_db=loss)
+        expected = _scalar_sps_rate(n, g2, q, t, link, asymptotic)
+        assert (got == 0.0) == (expected == 0.0), (n, g2, q, t, loss)
+        assert abs(got - expected) <= 1e-10 * link_transmittance(link) / math.e
