@@ -123,22 +123,12 @@ def boundary_g2(loss_db: float, n_mean: float) -> float | None:
 def boundary_min_mean(loss_db: float) -> float:
     """Smallest mean photon number admitting any advantage at this loss.
 
-    At g2 = 0 both rates are linear in eta, so this is 1/e at every
-    loss; kept as a bisection so the asymptotic and finite-key solvers
-    share one interface.
+    At g2 = 0 the SPS rate ``<n> eta`` and the WCP ceiling ``eta / e``
+    are both linear in eta, so this is 1/e at every loss; ``loss_db``
+    is kept so the asymptotic and finite-key solvers share one
+    interface.
     """
-    eta = 10.0 ** (-loss_db / 10.0)
-    target = wcp_asymptotic_rate(eta)
-    lo, hi = 1e-6, 10.0
-    if sps_asymptotic_rate(eta, hi, 0.0) < target:
-        raise EmptyCurve(f"no advantage for any <n> <= {hi} at {loss_db} dB")
-    for _ in range(BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if sps_asymptotic_rate(eta, mid, 0.0) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return 1.0 / math.e
 
 
 def advantage_boundary(loss_db: float, grid: list[float]) -> BoundaryCurve:

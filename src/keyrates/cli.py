@@ -2,9 +2,10 @@
 optimisation, simulation and comparison, with CSV emission.
 
 Configs are flat ``key = value`` files, one entry per line, ``#``
-comments allowed. Unknown keys are rejected. Exit codes: 0 success,
-2 usage error, 3 malformed or invalid configuration, 4 empty result
-(no boundary point or no rate crossover).
+comments allowed. Unknown keys and non-finite values are rejected.
+Exit codes: 0 success, 2 usage error, 3 malformed or invalid
+configuration, 4 empty result (no boundary point, no rate crossover,
+or a block that the multi-photon cap or a zero gain leaves keyless).
 """
 
 from __future__ import annotations
@@ -147,6 +148,8 @@ def load_config(path: str) -> ExperimentConfig:
             values[key] = float(raw)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: key {key!r} is not a number: {raw!r}") from exc
+        if not math.isfinite(values[key]):
+            raise ValidationError(f"line {lineno}: key {key!r} must be finite, got {raw!r}")
 
     kind_raw = values["source_kind"]
     try:
@@ -495,7 +498,7 @@ def run(argv: list[str]) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (EmptyCurve, NoCrossover) as exc:
+    except (EmptyCurve, NoCrossover, InsufficientBlock) as exc:
         print(f"empty result: {exc}", file=sys.stderr)
         return 4
 

@@ -392,30 +392,30 @@ def finite_boundary(
     def sps_rates(n_mean, g2) -> np.ndarray:
         return _tune_sps(n_mean, g2, loss_db, channel, proto, sec, asymptotic)[0]
 
-    # Every grid point runs its g2 bisection in lockstep with the others.
     n_grid = np.array(sorted(grid), dtype=float)
     n_grid = n_grid[sps_rates(n_grid, 0.0) >= r_wcp]
     if n_grid.size == 0:
         raise EmptyCurve(f"no grid point admits an SPS advantage at {loss_db} dB")
-    g2_edge = 1.0 / n_grid
-    bisected = sps_rates(n_grid, g2_edge) < r_wcp
-    lo, hi = np.zeros(int(bisected.sum())), g2_edge[bisected]
+    # One lockstep bisection: a lane per grid point bisects g2 on
+    # [0, 1/<n>], and a last lane bisects <n> at g2 = 0 between the
+    # smallest advantaged grid point and 1e-4. ``lo`` is the side where
+    # the SPS still matches the WCP rate; lanes that match at ``hi``
+    # already are not bisected.
+    g2_max = 1.0 / n_grid
+    n_lane = np.append(n_grid, 1e-4)
+    g2_lane = np.append(g2_max, 0.0)
+    lo = np.append(np.zeros(n_grid.size), n_grid[0])
+    hi = np.append(g2_max, 1e-4)
+    edge = hi.copy()
+    bisected = sps_rates(n_lane, g2_lane) < r_wcp
+    endpoint = (np.arange(n_lane.size) == n_grid.size)[bisected]
+    n_lane, lo, hi = n_lane[bisected], lo[bisected], hi[bisected]
     for _ in range(BOUNDARY_BISECTION_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        holds = sps_rates(n_grid[bisected], mid) >= r_wcp
+        holds = sps_rates(np.where(endpoint, mid, n_lane), np.where(endpoint, 0.0, mid)) >= r_wcp
         lo, hi = np.where(holds, mid, lo), np.where(holds, hi, mid)
-    g2_edge[bisected] = lo
-    points = list(zip(n_grid.tolist(), g2_edge.tolist()))
-
-    # Bisect the g2 = 0 endpoint below the smallest advantaged grid point.
-    hi_n = points[0][0]
-    lo_n = 1e-4
-    if sps_rates(lo_n, 0.0) < r_wcp:
-        for _ in range(BOUNDARY_BISECTION_ITERATIONS):
-            mid = 0.5 * (lo_n + hi_n)
-            if sps_rates(mid, 0.0) >= r_wcp:
-                hi_n = mid
-            else:
-                lo_n = mid
-        points.insert(0, (hi_n, 0.0))
+    edge[bisected] = lo
+    points = list(zip(n_grid.tolist(), edge[:-1].tolist()))
+    if bisected[-1]:
+        points.insert(0, (float(edge[-1]), 0.0))
     return BoundaryCurve(loss_db=loss_db, points=tuple(points))

@@ -26,13 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..channel import (
-    ChannelDetectorModel,
-    detection_stats,
-    link_transmittance,
-    photon_yields,
-)
-from ..photon_source import NORMALIZATION_TOL, SourceKind, SourceSpec, attenuate, moments
+from ..channel import ChannelDetectorModel, link_transmittance, photon_yields
+from ..photon_source import NORMALIZATION_TOL, SourceKind, SourceSpec, UndefinedG2
 
 # Chernoff draws charged against eps_pe by the SPS pipeline: the Z and X
 # multi-photon caps, the X error-count bound, and the basis-transfer
@@ -188,19 +183,26 @@ def sps_key_length(
     source: SourceSpec,
     proto: ProtocolConfig,
     sec: SecurityParams,
+    asymptotic: bool = False,
 ) -> KeyReport:
     """Secure key length of one SPS block.
 
     ``source`` describes the light actually launched, i.e. after any
     transmitter pre-attenuation. Raises ``InsufficientBlock`` when the
-    multi-photon cap swallows the whole Z-basis block.
+    multi-photon cap swallows the whole Z-basis block. With
+    ``asymptotic=True`` the statistical deviations and the privacy
+    amplification and correctness terms vanish, which is the
+    infinite-block limit of the same formula.
     """
     if source.kind is not SourceKind.SPS:
         raise ValueError("sps_key_length needs an SPS source")
     n_s = tallies.n_pulses_sent
     n_z = tallies.z_detections
     n_x = tallies.x_detections
-    eps_1 = sec.eps_pe / SPS_CHERNOFF_USES
+    # In the infinite-block limit (eps = 1) every bound is the count itself.
+    eps_1 = 1.0 if asymptotic else sec.eps_pe / SPS_CHERNOFF_USES
+    pa_cost = 0.0 if asymptotic else 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+    correctness_cost = 0.0 if asymptotic else math.log2(2.0 / sec.eps_cor)
 
     p2 = source.g2 * source.mean_photon_number**2 / 2.0
     mp_cap_z = _upper_count(n_s * proto.q_z_tx * p2, eps_1)
@@ -222,16 +224,21 @@ def sps_key_length(
     if n_x_floor <= 0.0:
         phase_error = 0.5
     else:
-        x_errors_up = _upper_count(tallies.x_errors, eps_1)
-        phi_x = min(0.5, x_errors_up / n_x_floor)
-        phase_error = min(0.5, _upper_count(n_z_floor * phi_x, eps_1) / n_z_floor)
+        phi_x = min(0.5, _upper_count(tallies.x_errors, eps_1) / n_x_floor)
+        # Without deviations the transfer is phi_x itself; (n phi) / n
+        # need not round back to phi, so it is skipped.
+        phase_error = (
+            phi_x
+            if asymptotic
+            else min(0.5, _upper_count(n_z_floor * phi_x, eps_1) / n_z_floor)
+        )
 
     key_length = max(
         0.0,
         n_z_floor * (1.0 - binary_entropy(phase_error))
         - lambda_ec
-        - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-        - math.log2(2.0 / sec.eps_cor),
+        - pa_cost
+        - correctness_cost,
     )
     return KeyReport(
         key_length=key_length,
@@ -245,6 +252,63 @@ def sps_key_length(
     )
 
 
+def _sps_expectation(probs, t, yields, error_yields, q_z_tx, proto: ProtocolConfig):
+    """Launched mean and g2, gain, QBER, pulses sent and X detections.
+
+    Thins the source's ``{p0, p1, p2}`` by the pre-attenuation ``t``
+    (each photon survives with probability t), takes the moments of the
+    launched light and its gain and QBER from the per-photon-number
+    click and error-click probabilities, and sizes the block so that the
+    Z sample, kept with probability ``q_z_tx * q_z_rx``, holds
+    ``proto.block_size`` detections. Pure arithmetic, so floats and
+    NumPy arrays give bit-identical results; Python floats raise
+    ``ZeroDivisionError`` where arrays give inf or nan.
+    """
+    p0, p1, p2 = probs
+    y0, y1, y2 = yields
+    e0, e1, e2 = error_yields
+    miss = 1.0 - t
+    a0 = p0 + p1 * miss + p2 * (miss * miss)
+    a1 = p1 * t + p2 * 2.0 * t * miss
+    a2 = p2 * (t * t)
+    mean = a1 + 2.0 * a2
+    g2 = 2.0 * a2 / (mean * mean)
+    q = a0 * y0 + a1 * y1 + a2 * y2
+    qber = (a0 * e0 + a1 * e1 + a2 * e2) / q
+    n_s = proto.block_size / (q_z_tx * proto.q_z_rx * q)
+    n_x = n_s * (1.0 - q_z_tx) * (1.0 - proto.q_z_rx) * q
+    return mean, g2, q, qber, n_s, n_x
+
+
+def _sps_point(source: SourceSpec, channel: ChannelDetectorModel, proto: ProtocolConfig):
+    """``_sps_expectation`` of one SPS configuration, rejecting degenerate ones.
+
+    Raises ``UndefinedG2`` when the launched mean, squared, is zero and
+    ``InsufficientBlock`` when no detections are expected.
+    """
+    if source.kind is not SourceKind.SPS:
+        raise ValueError("the SPS expectation needs an SPS source")
+    args = (
+        source.distribution().probs,
+        proto.pre_attenuation,
+        *photon_yields(link_transmittance(channel), channel, 2),
+        proto.q_z_tx,
+        proto,
+    )
+    try:
+        expectation = _sps_expectation(*args)
+    except ZeroDivisionError:
+        # A zero mean or gain: rerun as NumPy scalars to see which.
+        with np.errstate(all="ignore"):
+            expectation = _sps_expectation(args[0], np.float64(args[1]), *args[2:])
+    mean, _, q, *_ = expectation
+    if not mean * mean > 0.0:
+        raise UndefinedG2(f"g2 is undefined for a launched mean of {mean:.3g}")
+    if not q > 0.0:
+        raise InsufficientBlock("zero gain: no detections expected")
+    return expectation
+
+
 def expected_tallies(
     source: SourceSpec,
     channel: ChannelDetectorModel,
@@ -254,25 +318,19 @@ def expected_tallies(
 
     Sifting keeps the Z sample with probability ``q_z_tx * q_z_rx`` and
     the X sample with ``(1 - q_z_tx)(1 - q_z_rx)``; the pulse count is
-    chosen so the Z sample hits the configured block size.
+    chosen so the Z sample hits the configured block size. Only SPS
+    sources are accepted.
     """
-    dist = attenuate(source.distribution(), proto.pre_attenuation)
-    mean, g2 = moments(dist)
-    launched = SourceSpec(source.kind, mean, g2)
-    stats = detection_stats(dist, link_transmittance(channel), channel)
-    if stats.q <= 0.0:
-        raise InsufficientBlock("zero gain: no detections expected")
-    n_s = proto.block_size / (proto.q_z_tx * proto.q_z_rx * stats.q)
+    mean, g2, _, qber, n_s, n_x = _sps_point(source, channel, proto)
     n_z = proto.block_size
-    n_x = n_s * (1.0 - proto.q_z_tx) * (1.0 - proto.q_z_rx) * stats.q
     tallies = TallySet(
         n_pulses_sent=n_s,
         z_detections=n_z,
         x_detections=n_x,
-        z_errors=stats.qber * n_z,
-        x_errors=stats.qber * n_x,
+        z_errors=qber * n_z,
+        x_errors=qber * n_x,
     )
-    return tallies, launched
+    return tallies, SourceSpec(source.kind, mean, g2)
 
 
 def sps_expected_rate(
@@ -289,31 +347,7 @@ def sps_expected_rate(
     misalignment, dark counts and error-correction overheads.
     """
     tallies, launched = expected_tallies(source, channel, proto)
-    if not asymptotic:
-        return sps_key_length(tallies, launched, proto, sec)
-
-    p2 = launched.g2 * launched.mean_photon_number**2 / 2.0
-    n_s = tallies.n_pulses_sent
-    n_z_floor = tallies.z_detections - n_s * proto.q_z_tx * p2
-    if n_z_floor <= 0.0:
-        raise InsufficientBlock("multi-photon share exceeds Z detections")
-    qber = tallies.z_errors / tallies.z_detections
-    n_x_floor = tallies.x_detections - n_s * (1.0 - proto.q_z_tx) * p2
-    phase_error = 0.5 if n_x_floor <= 0 else min(0.5, tallies.x_errors / n_x_floor)
-    lambda_ec = sec.f_ec * tallies.z_detections * binary_entropy(qber)
-    key_length = max(
-        0.0, n_z_floor * (1.0 - binary_entropy(phase_error)) - lambda_ec
-    )
-    return KeyReport(
-        key_length=key_length,
-        rate_per_pulse=key_length / n_s,
-        n_pulses_sent=n_s,
-        multi_photon_cap=tallies.z_detections - n_z_floor,
-        secure_detections=n_z_floor,
-        phase_error_bound=phase_error,
-        lambda_ec=lambda_ec,
-        qber=qber,
-    )
+    return sps_key_length(tallies, launched, proto, sec, asymptotic)
 
 
 def _sps_lanes(
@@ -326,13 +360,21 @@ def _sps_lanes(
     sec: SecurityParams,
     asymptotic: bool = False,
 ):
-    """``_sps_rates`` with the pre-attenuation left open.
+    """``sps_expected_rate(...).rate_per_pulse`` over broadcast lanes.
 
-    Derives every term that does not depend on the pre-attenuation once
-    for the broadcast lanes (source, detector yields, basis split) and
-    returns ``rates(pre_attenuation)``, which scores a broadcastable
-    array of transmittances against them. A search that scores many
-    pre-attenuations per lane builds the lanes once.
+    Returns ``rates(pre_attenuation)``. Element i of
+    ``rates(pre_attenuation)`` scores ``SourceSpec(SPS, n_mean[i], g2[i])``
+    on ``replace(channel, channel_loss_db=loss_db[i])`` under
+    ``replace(proto, q_z_tx=q_z_tx[i], pre_attenuation=pre_attenuation[i])``,
+    with the expressions of the scalar path evaluated in the same order
+    and the expectation from the same ``_sps_expectation``. Wherever the
+    scalar path raises ``InsufficientBlock`` or ``NonPhysicalSource``
+    (``g2 <n> > 1``, ``p0 < 0``) the rate is exactly 0. Every term that
+    does not depend on the pre-attenuation (source, detector yields,
+    basis split) is derived once, so a search that scores many
+    pre-attenuations per lane builds the lanes once. One call costs
+    several scalar evaluations, so per-point callers keep the scalar
+    function.
     """
     n_mean, g2, q_z_tx, loss_db = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (n_mean, g2, q_z_tx, loss_db))
@@ -365,69 +407,52 @@ def _sps_lanes(
     )
 
     block = proto.block_size
-    q_sift_z = q_z_tx * proto.q_z_rx
     q_x_tx = 1.0 - q_z_tx
-    eps_1 = sec.eps_pe / SPS_CHERNOFF_USES
-    beta = math.log(1.0 / eps_1)
-    overhead = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-    correctness = math.log2(2.0 / sec.eps_cor)
+    if asymptotic:
+        def upper(x):
+            return x
 
-    def upper(x):
-        return np.where(x <= 0.0, 0.0, x + beta + np.sqrt(2.0 * beta * x + beta * beta))
+        pa_cost = correctness_cost = 0.0
+    else:
+        beta = math.log(1.0 / (sec.eps_pe / SPS_CHERNOFF_USES))
+
+        def upper(x):
+            return np.where(x <= 0.0, 0.0, x + beta + np.sqrt(2.0 * beta * x + beta * beta))
+
+        pa_cost = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+        correctness_cost = math.log2(2.0 / sec.eps_cor)
 
     def rates(pre_attenuation) -> np.ndarray:
         t = np.asarray(pre_attenuation, dtype=float)
         # Points the scalar path rejects may produce inf or nan below; the
         # mask at the end sets them to 0.
         with np.errstate(all="ignore"):
-            # attenuate (binomial thinning), then moments of the launched light.
-            miss = 1.0 - t
-            a0 = p0 + p1 * miss + p2 * (miss * miss)
-            a1 = p1 * t + p2 * 2.0 * t * miss
-            a2 = p2 * (t * t)
-            mean = a1 + 2.0 * a2
-            g2_launched = 2.0 * a2 / (mean * mean)
-            # detection_stats and expected_tallies.
-            q = a0 * y0 + a1 * y1 + a2 * y2
-            qber = (a0 * e0 + a1 * e1 + a2 * e2) / q
-            n_s = block / (q_sift_z * q)
-            n_x = n_s * q_x_tx * (1.0 - proto.q_z_rx) * q
+            mean, g2_launched, q, qber, n_s, n_x = _sps_expectation(
+                (p0, p1, p2), t, (y0, y1, y2), (e0, e1, e2), q_z_tx, proto
+            )
+            # sps_key_length on the expected tallies and the launched source.
             z_errors = qber * block
             x_errors = qber * n_x
             p2_launched = g2_launched * (mean * mean) / 2.0
-            z_multi = n_s * q_z_tx * p2_launched
-            x_multi = n_s * q_x_tx * p2_launched
-            if asymptotic:
-                n_z_floor = block - z_multi
-                insufficient = n_z_floor <= 0.0
-                n_x_floor = n_x - x_multi
-                phase_error = np.where(
-                    n_x_floor <= 0, 0.5, np.minimum(0.5, x_errors / n_x_floor)
-                )
-                lambda_ec = sec.f_ec * block * _binary_entropy_array(z_errors / block)
-                key_length = np.maximum(
-                    0.0, n_z_floor * (1.0 - _binary_entropy_array(phase_error)) - lambda_ec
-                )
-            else:
-                mp_cap_z = upper(z_multi)
-                n_z_floor = block - mp_cap_z
-                insufficient = (n_z_floor <= 0.0) & (mp_cap_z > 0.0)
-                n_z_floor = np.maximum(n_z_floor, 0.0)
-                lambda_ec = sec.f_ec * block * _binary_entropy_array(z_errors / block)
-                n_x_floor = n_x - upper(x_multi)
-                phi_x = np.minimum(0.5, upper(x_errors) / n_x_floor)
-                phase_error = np.where(
-                    n_x_floor <= 0.0,
-                    0.5,
-                    np.minimum(0.5, upper(n_z_floor * phi_x) / n_z_floor),
-                )
-                key_length = np.maximum(
-                    0.0,
-                    n_z_floor * (1.0 - _binary_entropy_array(phase_error))
-                    - lambda_ec
-                    - overhead
-                    - correctness,
-                )
+            mp_cap_z = upper(n_s * q_z_tx * p2_launched)
+            n_z_floor = block - mp_cap_z
+            insufficient = (n_z_floor <= 0.0) & (mp_cap_z > 0.0)
+            n_z_floor = np.maximum(n_z_floor, 0.0)
+            lambda_ec = sec.f_ec * block * _binary_entropy_array(z_errors / block)
+            n_x_floor = n_x - upper(n_s * q_x_tx * p2_launched)
+            phi_x = np.minimum(0.5, upper(x_errors) / n_x_floor)
+            phase_error = np.where(
+                n_x_floor <= 0.0,
+                0.5,
+                phi_x if asymptotic else np.minimum(0.5, upper(n_z_floor * phi_x) / n_z_floor),
+            )
+            key_length = np.maximum(
+                0.0,
+                n_z_floor * (1.0 - _binary_entropy_array(phase_error))
+                - lambda_ec
+                - pa_cost
+                - correctness_cost,
+            )
             rate = key_length / n_s
         valid = (
             lane_ok
@@ -439,32 +464,3 @@ def _sps_lanes(
         return np.where(valid, rate, 0.0)
 
     return rates
-
-
-def _sps_rates(
-    n_mean,
-    g2,
-    q_z_tx,
-    pre_attenuation,
-    loss_db,
-    channel: ChannelDetectorModel,
-    proto: ProtocolConfig,
-    sec: SecurityParams,
-    asymptotic: bool = False,
-) -> np.ndarray:
-    """``sps_expected_rate(...).rate_per_pulse`` over broadcast parameter arrays.
-
-    Element i scores ``SourceSpec(SPS, n_mean[i], g2[i])`` on
-    ``replace(channel, channel_loss_db=loss_db[i])`` under
-    ``replace(proto, q_z_tx=q_z_tx[i], pre_attenuation=pre_attenuation[i])``,
-    with the expressions of the scalar path evaluated in the same order;
-    pre-attenuation thins ``{p0, p1, p2}`` in closed form
-    (``p2 -> t^2 p2``, ``p1 -> t p1 + 2 t (1 - t) p2``). Wherever the
-    scalar path raises ``InsufficientBlock`` or ``NonPhysicalSource``
-    (``g2 <n> > 1``, ``p0 < 0``) the rate is exactly 0. One call costs
-    several scalar evaluations, so per-point callers keep the scalar
-    function.
-    """
-    return _sps_lanes(n_mean, g2, q_z_tx, loss_db, channel, proto, sec, asymptotic)(
-        pre_attenuation
-    )

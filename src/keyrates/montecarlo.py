@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelDetectorModel, detection_stats, link_transmittance
+from .channel import ChannelDetectorModel
 from .finite_key import (
     InsufficientBlock,
     ProtocolConfig,
@@ -27,7 +27,8 @@ from .finite_key import (
     sps_expected_rate,
     sps_key_length,
 )
-from .photon_source import SourceSpec, attenuate, moments
+from .finite_key.core import _sps_point
+from .photon_source import SourceSpec
 
 
 @dataclass(frozen=True)
@@ -59,22 +60,19 @@ class RateSummary:
     failures: int
 
 
-def _sift_counts(spec: TrialSpec) -> tuple[int, int, float, float, float]:
-    """Sifted pulse counts per basis and the per-pulse gain statistics."""
-    dist = attenuate(spec.source.distribution(), spec.proto.pre_attenuation)
-    stats = detection_stats(dist, link_transmittance(spec.channel), spec.channel)
-    if stats.q <= 0.0:
-        raise InsufficientBlock("zero gain: nothing to simulate")
-    n_s = spec.proto.block_size / (spec.proto.q_z_tx * spec.proto.q_z_rx * stats.q)
+def _sift_counts(spec: TrialSpec) -> tuple[tuple[int, int, float, float, float], SourceSpec]:
+    """Sifted pulse counts per basis, the per-pulse gain statistics and
+    the source after pre-attenuation."""
+    mean, g2, q, qber, n_s, _ = _sps_point(spec.source, spec.channel, spec.proto)
     sift_z = int(round(n_s * spec.proto.q_z_tx * spec.proto.q_z_rx))
     sift_x = int(round(n_s * (1.0 - spec.proto.q_z_tx) * (1.0 - spec.proto.q_z_rx)))
-    return sift_z, sift_x, n_s, stats.q, stats.qber
+    return (sift_z, sift_x, n_s, q, qber), SourceSpec(spec.source.kind, mean, g2)
 
 
 def _draw_tallies(
     counts: tuple[int, int, float, float, float], rng: np.random.Generator
 ) -> TallySet:
-    """Binomial detections and errors per basis for ``_sift_counts`` output."""
+    """Binomial detections and errors per basis for ``_sift_counts`` counts."""
     sift_z, sift_x, n_s, q, qber = counts
     n_z = int(rng.binomial(sift_z, q))
     m_z = int(rng.binomial(n_z, qber)) if n_z > 0 else 0
@@ -93,7 +91,7 @@ def simulate_trial(spec: TrialSpec, rng: np.random.Generator | None = None) -> T
     """One stochastic realisation of the experiment's tallies."""
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    return _draw_tallies(_sift_counts(spec), rng)
+    return _draw_tallies(_sift_counts(spec)[0], rng)
 
 
 def iter_trials(spec: TrialSpec):
@@ -103,8 +101,7 @@ def iter_trials(spec: TrialSpec):
     trial seed. Trials where distillation is infeasible yield NaNs
     instead of aborting the run.
     """
-    _, launched = _expected_launched(spec)
-    counts = _sift_counts(spec)
+    counts, launched = _sift_counts(spec)
     for child in np.random.SeedSequence(spec.seed).spawn(spec.repetitions):
         tallies = _draw_tallies(counts, np.random.default_rng(child))
         try:
@@ -146,8 +143,3 @@ def analytic_reference(spec: TrialSpec):
     """Analytic expectation report matching the simulated configuration."""
     return sps_expected_rate(spec.source, spec.channel, spec.proto, spec.sec)
 
-
-def _expected_launched(spec: TrialSpec) -> tuple[float, SourceSpec]:
-    dist = attenuate(spec.source.distribution(), spec.proto.pre_attenuation)
-    mean, g2 = moments(dist)
-    return mean, SourceSpec(spec.source.kind, mean, g2)

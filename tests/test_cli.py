@@ -98,6 +98,18 @@ class TestLoadConfig:
         with pytest.raises(ParseError):
             load_config(path)
 
+    @pytest.mark.parametrize("entry", ["g2 = nan", "f_ec = inf", "block_size = -inf"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, capsys, entry):
+        key = entry.split(" = ")[0]
+        lines = [
+            entry if line.startswith(f"{key} = ") else line
+            for line in FIELD_CFG_TEXT.splitlines()
+        ]
+        path = write_cfg(tmp_path, "\n".join(lines))
+        assert run(["rate", path]) == 3
+        err = capsys.readouterr().err
+        assert f"line {lines.index(entry) + 1}: key {key!r} must be finite" in err
+
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_config("/nonexistent/path.cfg")
@@ -135,6 +147,14 @@ class TestRateCommand:
             key, _, value = line.partition(" = ")
             values[key] = value
         assert float(values["rate_per_pulse"]) > 0.0
+
+    def test_keyless_block_is_empty_result(self, tmp_path, capsys):
+        # At 60 dB the multi-photon cap exceeds the whole Z block.
+        text = FIELD_CFG_TEXT.replace("channel_loss_db = 14.6", "channel_loss_db = 60")
+        assert run(["rate", write_cfg(tmp_path, text)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("empty result: multi-photon cap")
 
     def test_wcp_source_without_intensities_fails(self, tmp_path):
         text = FIELD_CFG_TEXT.replace("source_kind = sps", "source_kind = wcp")

@@ -273,6 +273,16 @@ class TestFiniteBoundary:
         # Two bisected grid points plus the bisected g2 = 0 endpoint.
         assert len(curve.points) == len(grid) and curve.points[0][1] == 0.0
 
+    def test_no_bisection_where_neither_side_makes_key(self):
+        # At 80 dB both rates are 0, so every grid point matches at its
+        # largest g2 and <n> = 1e-4 matches too: no g2 = 0 point is added.
+        grid = [0.1, 0.5]
+        curve = finite_boundary(80.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        reference = _scalar_finite_boundary(
+            80.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, False
+        )
+        assert curve.points == reference == ((0.1, 1.0 / 0.1), (0.5, 1.0 / 0.5))
+
     def test_empty_when_grid_below_threshold(self):
         channel = replace(FIELD_CHANNEL, channel_loss_db=25.0)
         with pytest.raises(EmptyCurve):

@@ -21,9 +21,9 @@ from keyrates.finite_key import (
     sps_key_length,
 )
 from keyrates.finite_key.comparison import Q_TX_GRID
-from keyrates.finite_key.core import SPS_CHERNOFF_USES, _sps_rates
+from keyrates.finite_key.core import SPS_CHERNOFF_USES, _sps_lanes
 from keyrates.finite_key.wcp import WCP_CONCENTRATION_USES
-from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec
+from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
 FIELD_SEC = SecurityParams(
@@ -191,6 +191,32 @@ class TestSpsExpectedRate:
         assert launched.g2 == pytest.approx(0.00698, rel=1e-9)
         assert tallies.z_detections == FIELD_PROTO.block_size
 
+    @pytest.mark.parametrize(
+        "source, channel, proto, error",
+        [
+            # The launched mean, or its square, underflows to zero.
+            (
+                SourceSpec(SourceKind.SPS, 1e-300, 0.0),
+                FIELD_CHANNEL,
+                replace(FIELD_PROTO, pre_attenuation=1e-30),
+                UndefinedG2,
+            ),
+            (SourceSpec(SourceKind.SPS, 1e-300, 0.0), FIELD_CHANNEL, FIELD_PROTO, UndefinedG2),
+            # A blind detector without dark counts never clicks.
+            (
+                FIELD_SOURCE,
+                replace(FIELD_CHANNEL, detection_efficiency=0.0, dark_count_rate_cps=0.0),
+                FIELD_PROTO,
+                InsufficientBlock,
+            ),
+            (SourceSpec(SourceKind.WCP, 0.5), FIELD_CHANNEL, FIELD_PROTO, ValueError),
+        ],
+    )
+    def test_degenerate_expectation_raises_named_error(self, source, channel, proto, error):
+        with pytest.raises(ValueError) as excinfo:
+            expected_tallies(source, channel, proto)
+        assert excinfo.type is error
+
 
 class TestEpsilonBudget:
     def test_declared_total(self):
@@ -221,6 +247,38 @@ def test_rate_and_length_are_clamped(block, g2):
         return
     assert report.key_length >= 0.0
     assert 0.0 <= report.rate_per_pulse <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_mean=st.floats(min_value=0.02, max_value=1.0),
+    g2_share=st.floats(min_value=0.0, max_value=1.0),
+    q_z_tx=st.sampled_from(Q_TX_GRID),
+    pre_attenuation=st.floats(min_value=1e-3, max_value=1.0),
+    loss_db=st.floats(min_value=0.0, max_value=40.0),
+    dark_count_rate=st.sampled_from([0.0, 43.0, 4.3e4]),
+)
+def test_finite_rate_rises_with_block_below_asymptotic(
+    n_mean, g2_share, q_z_tx, pre_attenuation, loss_db, dark_count_rate
+):
+    source = SourceSpec(SourceKind.SPS, n_mean, g2_share * min(0.3, 1.0 / n_mean))
+    channel = replace(FIELD_CHANNEL, channel_loss_db=loss_db, dark_count_rate_cps=dark_count_rate)
+
+    def rate(block_size, asymptotic):
+        proto = replace(
+            FIELD_PROTO, q_z_tx=q_z_tx, pre_attenuation=pre_attenuation, block_size=block_size
+        )
+        try:
+            return sps_expected_rate(
+                source, channel, proto, FIELD_SEC, asymptotic=asymptotic
+            ).rate_per_pulse
+        except InsufficientBlock:
+            return 0.0
+
+    blocks = (1e6, 1e8, 1e10, 1e12)
+    finite = [rate(block, False) for block in blocks]
+    assert all(a <= b for a, b in zip(finite, finite[1:]))
+    assert all(f <= rate(block, True) for f, block in zip(finite, blocks))
 
 
 def _scalar_sps_rate(n_mean, g2, q_z_tx, pre_attenuation, channel, asymptotic):
@@ -264,7 +322,9 @@ def test_sps_kernel_matches_scalar_path(asymptotic, dark_count_rate, points):
     # scaled by the coherent-light ceiling eta / e.
     channel = replace(FIELD_CHANNEL, dark_count_rate_cps=dark_count_rate)
     columns = [(n, share / n, q, t, loss) for n, share, q, t, loss in points]
-    kernel = _sps_rates(*zip(*columns), channel, FIELD_PROTO, FIELD_SEC, asymptotic)
+    n_col, g2_col, q_col, t_col, loss_col = zip(*columns)
+    lanes = _sps_lanes(n_col, g2_col, q_col, loss_col, channel, FIELD_PROTO, FIELD_SEC, asymptotic)
+    kernel = lanes(t_col)
     for (n, g2, q, t, loss), got in zip(columns, kernel):
         link = replace(channel, channel_loss_db=loss)
         expected = _scalar_sps_rate(n, g2, q, t, link, asymptotic)
