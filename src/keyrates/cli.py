@@ -3,9 +3,11 @@ optimisation, simulation and comparison, with CSV emission.
 
 Configs are flat ``key = value`` files, one entry per line, ``#``
 comments allowed. Unknown keys and non-finite values are rejected.
-Exit codes: 0 success, 2 usage error, 3 malformed or invalid
-configuration, 4 empty result (no boundary point, no rate crossover,
-or a block that the multi-photon cap or a zero gain leaves keyless).
+Exit codes: 0 success, 2 usage error (including an unwritable
+``--output``), 3 malformed or invalid configuration (including one
+whose launched light is unphysical), 4 empty result (no boundary
+point, no rate crossover, or a block that the multi-photon cap or a
+zero gain leaves keyless).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import importlib.resources
 import math
 import sys
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .asymptotic import EmptyCurve, advantage_boundary
 from .channel import ChannelDetectorModel, RateTooHigh
@@ -31,9 +35,11 @@ from .finite_key import (
     wcp_finite_key_rate,
 )
 from .finite_key.comparison import WCP_RECEIVER_Z_RATIO, advantage_db
+from .finite_key.core import _sps_lanes
+from .finite_key.wcp import _wcp_rates
 from .montecarlo import TrialSpec, iter_trials
 from .optimizer import GASettings, SearchSpace, optimize
-from .photon_source import NonPhysicalSource, SourceKind, SourceSpec
+from .photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 
 
 class ParseError(ValueError):
@@ -42,6 +48,10 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Raised when a parsed config violates a documented invariant."""
+
+
+class UnwritableOutput(ValueError):
+    """Raised when the ``--output`` file cannot be written (a usage error)."""
 
 
 # key -> required
@@ -226,8 +236,11 @@ def bundled_field_config() -> str:
 def _emit(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UnwritableOutput(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -269,8 +282,6 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     _require_sps(config, "sweep")
-    if args.steps < 2:
-        raise ValidationError("--steps must be >= 2")
     losses = [
         args.loss_min + i * (args.loss_max - args.loss_min) / (args.steps - 1)
         for i in range(args.steps)
@@ -326,6 +337,18 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             except (InsufficientBlock, NonPhysicalSource):
                 return 0.0
 
+        def score_population(columns: dict[str, np.ndarray]) -> np.ndarray:
+            lanes = _sps_lanes(
+                config.source.mean_photon_number,
+                config.source.g2,
+                columns["q_z_tx"],
+                config.channel.channel_loss_db,
+                config.channel,
+                config.proto,
+                config.sec,
+            )
+            return lanes(columns["pre_attenuation"])
+
     else:
         space = SearchSpace(
             {
@@ -358,7 +381,23 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             except ValueError:
                 return 0.0
 
-    result = optimize(objective, space, settings)
+        wcp_proto = replace(config.proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
+
+        def score_population(columns: dict[str, np.ndarray]) -> np.ndarray:
+            return _wcp_rates(
+                columns["mu_signal"],
+                columns["mu_signal"] * columns["mu_decoy_fraction"],
+                columns["p_signal"],
+                columns["p_decoy"],
+                columns["q_z_tx"],
+                config.channel,
+                wcp_proto,
+                config.sec,
+                "hoeffding",
+            )
+
+    # Both scorers give exactly 0 wherever `objective` catches an exception.
+    result = optimize(objective, space, settings, score_population=score_population)
     print(f"best_rate_per_pulse = {format(result.best_rate, '.17g')}")
     print(f"best_rate_per_second = {format(result.best_rate * config.clock_rate_hz, '.17g')}")
     for name, value in result.best_params.items():
@@ -413,24 +452,40 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_float(text: str) -> float:
+def _float_or_nan(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        value = math.nan
+        return math.nan
+
+
+def _positive_float(text: str) -> float:
+    value = _float_or_nan(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 
-def _grid_points(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+def _loss_db(text: str) -> float:
+    value = _float_or_nan(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _int_at_least(minimum: int):
+    """Argparse type accepting integers >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,34 +501,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="optimised SPS and WCP rates over a loss range")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--loss-min", type=float, required=True)
-    p_sweep.add_argument("--loss-max", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--loss-min", type=_loss_db, required=True)
+    p_sweep.add_argument("--loss-max", type=_loss_db, required=True)
+    p_sweep.add_argument("--steps", type=_int_at_least(2), required=True)
     p_sweep.add_argument("--output", "-o", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_boundary = sub.add_parser("boundary", help="advantage boundary in the (<n>, g2) plane")
     p_boundary.add_argument("config")
-    p_boundary.add_argument("--loss", type=float, required=True)
+    p_boundary.add_argument("--loss", type=_loss_db, required=True)
     p_boundary.add_argument("--mode", choices=("asymptotic", "finite"), required=True)
     p_boundary.add_argument("--grid-min", type=_positive_float, default=0.05)
     p_boundary.add_argument("--grid-max", type=_positive_float, default=1.2)
-    p_boundary.add_argument("--grid-points", type=_grid_points, default=25)
+    p_boundary.add_argument("--grid-points", type=_int_at_least(2), default=25)
     p_boundary.add_argument("--output", "-o", default=None)
     p_boundary.set_defaults(func=_cmd_boundary)
 
     p_opt = sub.add_parser("optimize", help="genetic-algorithm parameter search")
     p_opt.add_argument("config")
     p_opt.add_argument("--target", choices=("sps", "wcp"), default="sps")
-    p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.add_argument("--population", type=int, default=50)
-    p_opt.add_argument("--generations", type=int, default=200)
+    p_opt.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_opt.add_argument(
+        "--population", type=_int_at_least(GASettings.elite_count + 2), default=50
+    )
+    p_opt.add_argument("--generations", type=_int_at_least(0), default=200)
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo tally sampling")
     p_sim.add_argument("config")
-    p_sim.add_argument("--reps", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--reps", type=_int_at_least(1), required=True)
+    p_sim.add_argument("--seed", type=_int_at_least(0), required=True)
     p_sim.add_argument("--output", "-o", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -495,8 +552,15 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    except UnwritableOutput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (UndefinedG2, NonPhysicalSource) as exc:
+        # A configuration that loads but has no physical launched light.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (EmptyCurve, NoCrossover, InsufficientBlock) as exc:
         print(f"empty result: {exc}", file=sys.stderr)

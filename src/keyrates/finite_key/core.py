@@ -221,7 +221,9 @@ def sps_key_length(
     # transfer onto the Z block.
     mp_cap_x = _upper_count(n_s * (1.0 - proto.q_z_tx) * p2, eps_1)
     n_x_floor = n_x - mp_cap_x
-    if n_x_floor <= 0.0:
+    if n_x_floor <= 0.0 or n_z_floor <= 0.0:
+        # No X sample to estimate from, or no Z block to transfer onto
+        # (zero Z detections without multi-photon pulses): no key.
         phase_error = 0.5
     else:
         phi_x = min(0.5, _upper_count(tallies.x_errors, eps_1) / n_x_floor)
@@ -250,6 +252,55 @@ def sps_key_length(
         lambda_ec=lambda_ec,
         qber=qber_z,
     )
+
+
+def _sps_key_lengths(
+    n_s, n_z, n_x, z_errors, x_errors, p2, q_z_tx, sec: SecurityParams, asymptotic: bool = False
+):
+    """``sps_key_length(...).key_length`` over broadcast tallies.
+
+    The launched source enters as its two-photon probability ``p2``
+    (``g2 <n>^2 / 2``). Returns the key lengths and the mask of blocks
+    for which ``sps_key_length`` raises ``InsufficientBlock``; the key
+    length is meaningless there. The expressions are those of the scalar
+    function, in the same order; callers silence NumPy's floating-point
+    warnings.
+    """
+    if asymptotic:
+        def upper(x):
+            return x
+
+        pa_cost = correctness_cost = 0.0
+    else:
+        beta = math.log(1.0 / (sec.eps_pe / SPS_CHERNOFF_USES))
+
+        def upper(x):
+            return np.where(x <= 0.0, 0.0, x + beta + np.sqrt(2.0 * beta * x + beta * beta))
+
+        pa_cost = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+        correctness_cost = math.log2(2.0 / sec.eps_cor)
+
+    mp_cap_z = upper(n_s * q_z_tx * p2)
+    n_z_floor = n_z - mp_cap_z
+    insufficient = (n_z_floor <= 0.0) & (mp_cap_z > 0.0)
+    n_z_floor = np.maximum(n_z_floor, 0.0)
+    qber_z = np.where(n_z > 0, z_errors / n_z, 0.0)
+    lambda_ec = sec.f_ec * n_z * _binary_entropy_array(qber_z)
+    n_x_floor = n_x - upper(n_s * (1.0 - q_z_tx) * p2)
+    phi_x = np.minimum(0.5, upper(x_errors) / n_x_floor)
+    phase_error = np.where(
+        (n_x_floor <= 0.0) | (n_z_floor <= 0.0),
+        0.5,
+        phi_x if asymptotic else np.minimum(0.5, upper(n_z_floor * phi_x) / n_z_floor),
+    )
+    key_length = np.maximum(
+        0.0,
+        n_z_floor * (1.0 - _binary_entropy_array(phase_error))
+        - lambda_ec
+        - pa_cost
+        - correctness_cost,
+    )
+    return key_length, insufficient
 
 
 def _sps_expectation(probs, t, yields, error_yields, q_z_tx, proto: ProtocolConfig):
@@ -407,20 +458,6 @@ def _sps_lanes(
     )
 
     block = proto.block_size
-    q_x_tx = 1.0 - q_z_tx
-    if asymptotic:
-        def upper(x):
-            return x
-
-        pa_cost = correctness_cost = 0.0
-    else:
-        beta = math.log(1.0 / (sec.eps_pe / SPS_CHERNOFF_USES))
-
-        def upper(x):
-            return np.where(x <= 0.0, 0.0, x + beta + np.sqrt(2.0 * beta * x + beta * beta))
-
-        pa_cost = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-        correctness_cost = math.log2(2.0 / sec.eps_cor)
 
     def rates(pre_attenuation) -> np.ndarray:
         t = np.asarray(pre_attenuation, dtype=float)
@@ -431,27 +468,16 @@ def _sps_lanes(
                 (p0, p1, p2), t, (y0, y1, y2), (e0, e1, e2), q_z_tx, proto
             )
             # sps_key_length on the expected tallies and the launched source.
-            z_errors = qber * block
-            x_errors = qber * n_x
-            p2_launched = g2_launched * (mean * mean) / 2.0
-            mp_cap_z = upper(n_s * q_z_tx * p2_launched)
-            n_z_floor = block - mp_cap_z
-            insufficient = (n_z_floor <= 0.0) & (mp_cap_z > 0.0)
-            n_z_floor = np.maximum(n_z_floor, 0.0)
-            lambda_ec = sec.f_ec * block * _binary_entropy_array(z_errors / block)
-            n_x_floor = n_x - upper(n_s * q_x_tx * p2_launched)
-            phi_x = np.minimum(0.5, upper(x_errors) / n_x_floor)
-            phase_error = np.where(
-                n_x_floor <= 0.0,
-                0.5,
-                phi_x if asymptotic else np.minimum(0.5, upper(n_z_floor * phi_x) / n_z_floor),
-            )
-            key_length = np.maximum(
-                0.0,
-                n_z_floor * (1.0 - _binary_entropy_array(phase_error))
-                - lambda_ec
-                - pa_cost
-                - correctness_cost,
+            key_length, insufficient = _sps_key_lengths(
+                n_s,
+                block,
+                n_x,
+                qber * block,
+                qber * n_x,
+                g2_launched * (mean * mean) / 2.0,
+                q_z_tx,
+                sec,
+                asymptotic,
             )
             rate = key_length / n_s
         valid = (

@@ -20,14 +20,12 @@ import numpy as np
 
 from .channel import ChannelDetectorModel
 from .finite_key import (
-    InsufficientBlock,
     ProtocolConfig,
     SecurityParams,
     TallySet,
     sps_expected_rate,
-    sps_key_length,
 )
-from .finite_key.core import _sps_point
+from .finite_key.core import _sps_key_lengths, _sps_point
 from .photon_source import SourceSpec
 
 
@@ -71,45 +69,55 @@ def _sift_counts(spec: TrialSpec) -> tuple[tuple[int, int, float, float, float],
 
 def _draw_tallies(
     counts: tuple[int, int, float, float, float], rng: np.random.Generator
-) -> TallySet:
-    """Binomial detections and errors per basis for ``_sift_counts`` counts."""
-    sift_z, sift_x, n_s, q, qber = counts
+) -> tuple[int, int, int, int]:
+    """Binomial detections and errors per basis for ``_sift_counts`` counts,
+    in ``TallySet`` order: Z and X detections, then Z and X errors."""
+    sift_z, sift_x, _, q, qber = counts
     n_z = int(rng.binomial(sift_z, q))
     m_z = int(rng.binomial(n_z, qber)) if n_z > 0 else 0
     n_x = int(rng.binomial(sift_x, q))
     m_x = int(rng.binomial(n_x, qber)) if n_x > 0 else 0
-    return TallySet(
-        n_pulses_sent=n_s,
-        z_detections=n_z,
-        x_detections=n_x,
-        z_errors=m_z,
-        x_errors=m_x,
-    )
+    return n_z, n_x, m_z, m_x
 
 
 def simulate_trial(spec: TrialSpec, rng: np.random.Generator | None = None) -> TallySet:
     """One stochastic realisation of the experiment's tallies."""
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    return _draw_tallies(_sift_counts(spec)[0], rng)
+    counts = _sift_counts(spec)[0]
+    return TallySet(counts[2], *_draw_tallies(counts, rng))
 
 
 def iter_trials(spec: TrialSpec):
     """Per-repetition tallies with their distilled key length and rate.
 
     Repetitions draw from independent child streams spawned off the
-    trial seed. Trials where distillation is infeasible yield NaNs
-    instead of aborting the run.
+    trial seed. Every trial is drawn first and then all are distilled in
+    one array call (``_sps_key_lengths``, the elementwise
+    ``sps_key_length``). Trials where distillation is infeasible yield
+    NaNs instead of aborting the run.
     """
     counts, launched = _sift_counts(spec)
-    for child in np.random.SeedSequence(spec.seed).spawn(spec.repetitions):
-        tallies = _draw_tallies(counts, np.random.default_rng(child))
-        try:
-            report = sps_key_length(tallies, launched, spec.proto, spec.sec)
-        except InsufficientBlock:
-            yield tallies, math.nan, math.nan
-            continue
-        yield tallies, report.key_length, report.rate_per_pulse
+    n_s = counts[2]
+    draws = np.empty((spec.repetitions, 4), dtype=np.int64)
+    root = np.random.SeedSequence(spec.seed)
+    for row in draws:
+        # One child per spawn call: the same streams as
+        # spawn(repetitions), without holding every SeedSequence.
+        row[:] = _draw_tallies(counts, np.random.default_rng(root.spawn(1)[0]))
+
+    n_z, n_x, m_z, m_x = draws.T
+    # sps_key_length's expression: `**2`, not `*`, so the last bit agrees.
+    p2 = launched.g2 * launched.mean_photon_number**2 / 2.0
+    with np.errstate(all="ignore"):
+        key_length, insufficient = _sps_key_lengths(
+            n_s, n_z, n_x, m_z, m_x, p2, spec.proto.q_z_tx, spec.sec
+        )
+    key_length = np.where(insufficient, math.nan, key_length)
+    rate = key_length / n_s
+    # Row by row, so no Python copy of every trial is held.
+    for draw, key, r in zip(draws, key_length, rate):
+        yield TallySet(n_s, *draw.tolist()), float(key), float(r)
 
 
 def simulate_rate_distribution(spec: TrialSpec) -> RateSummary:

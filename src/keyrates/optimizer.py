@@ -4,7 +4,8 @@ A plain generational GA: tournament selection, uniform crossover,
 per-gene Gaussian mutation, elitism, and an optional deterministic
 coordinate refinement of the final best candidate. The objective must
 be total (return 0 for infeasible points instead of raising); runs are
-bit-for-bit reproducible for a fixed seed.
+bit-for-bit reproducible for a fixed seed. An optional array scorer
+rates a whole population in one call.
 """
 
 from __future__ import annotations
@@ -51,13 +52,25 @@ class SearchSpace:
         lows, highs = self.bounds_arrays()
         return 0.5 * (lows + highs)
 
-    def decode(self, genes: np.ndarray) -> dict[str, float]:
-        params = {name: float(v) for name, v in zip(self.names, genes)}
+    def decode(self, genes: np.ndarray) -> dict:
+        """Parameters of one gene vector, as floats, or of a 2-D gene
+        array with one candidate per row, as one column per parameter.
+
+        Each simplex group is divided by its sum ``(a + b) + c`` where
+        that sum is positive, so both shapes give the same values.
+        """
+        genes = np.asarray(genes, dtype=float)
+        single = genes.ndim == 1
+        params = dict(zip(self.names, genes.tolist() if single else genes.T))
         for group in self.simplex_groups:
             total = sum(params[name] for name in group)
-            if total > 0.0:
-                for name in group:
-                    params[name] /= total
+            # Dividing by one leaves a group without a positive sum as it is.
+            if single:
+                divisor = total if total > 0.0 else 1.0
+            else:
+                divisor = np.where(total > 0.0, total, 1.0)
+            for name in group:
+                params[name] = params[name] / divisor
         return params
 
 
@@ -104,12 +117,20 @@ def optimize(
     objective: Callable[[dict[str, float]], float],
     space: SearchSpace,
     settings: GASettings,
+    *,
+    score_population: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None,
 ) -> OptimizationResult:
     """Maximise ``objective`` over ``space`` with a seeded GA.
 
     The midpoint of the space is seeded into the initial population, so
     the result is never worse than the midpoint configuration. The
     fitness history is non-decreasing by elitism.
+
+    ``score_population``, if given, takes the decoded columns of a whole
+    population (``space.decode`` of a 2-D gene array) and returns
+    ``objective`` of every row; it then scores the initial population
+    and each generation's children in one call. The coordinate polish
+    scores one point at a time and keeps ``objective``.
     """
     rng = np.random.default_rng(settings.seed)
     lows, highs = space.bounds_arrays()
@@ -121,9 +142,13 @@ def optimize(
     population[0] = space.midpoint()
 
     def evaluate(pop: np.ndarray) -> np.ndarray:
+        if score_population is not None:
+            return np.asarray(score_population(space.decode(pop)), dtype=float)
         return np.array([objective(space.decode(row)) for row in pop])
 
     fitness = evaluate(population)
+    n_children = pop_size - settings.elite_count
+    sigma = settings.mutation_sigma_fraction * span
     history: list[float] = []
     stagnant = 0
     best_so_far = -np.inf
@@ -144,7 +169,6 @@ def optimize(
                 break
 
         elites = population[: settings.elite_count].copy()
-        n_children = pop_size - settings.elite_count
         children = np.empty((n_children, n_genes))
         for i in range(n_children):
             # Population is sorted by fitness, so the tournament winner
@@ -157,9 +181,10 @@ def optimize(
                 child[mask] = parent_b[mask]
             mutate = rng.random(n_genes) < settings.mutation_prob
             if mutate.any():
-                noise = rng.normal(0.0, settings.mutation_sigma_fraction * span)
+                # The same draws as rng.normal(0.0, sigma).
+                noise = rng.standard_normal(n_genes) * sigma
                 child = np.where(mutate, child + noise, child)
-            children[i] = np.clip(child, lows, highs)
+            children[i] = np.minimum(np.maximum(child, lows), highs)
 
         population = np.vstack([elites, children])
         fitness = np.concatenate([fitness[: settings.elite_count], evaluate(children)])

@@ -189,6 +189,43 @@ def test_sps_only_commands_reject_wcp_config(tmp_path, capsys, argv):
     assert "source_kind = sps" in err[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "{cfg}", "--population", "2"],
+        ["optimize", "{cfg}", "--seed", "-1"],
+        ["optimize", "{cfg}", "--generations", "-3"],
+        ["simulate", "{cfg}", "--reps", "0", "--seed", "1"],
+        ["simulate", "{cfg}", "--reps", "-5", "--seed", "1"],
+        ["simulate", "{cfg}", "--reps", "2", "--seed", "-1"],
+        ["sweep", "{cfg}", "--loss-min", "0", "--loss-max", "nan", "--steps", "3"],
+        ["sweep", "{cfg}", "--loss-min", "-1", "--loss-max", "6", "--steps", "3"],
+        ["sweep", "{cfg}", "--loss-min", "0", "--loss-max", "6", "--steps", "1"],
+        ["boundary", "{cfg}", "--loss", "-1", "--mode", "finite"],
+        ["boundary", "{cfg}", "--loss", "-1", "--mode", "asymptotic"],
+        ["boundary", "{cfg}", "--loss", "inf", "--mode", "asymptotic"],
+        ["sweep", "{cfg}", "--loss-min", "0", "--loss-max", "6", "--steps", "3",
+         "-o", "{missing}"],
+    ],
+)
+def test_bad_arguments_are_usage_errors(field_cfg, tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-dir" / "out.csv")
+    argv = [arg.format(cfg=field_cfg, missing=missing) for arg in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err.strip().splitlines()[-1]
+
+
+def test_unphysical_launch_is_config_error(tmp_path, capsys):
+    # The mean squared underflows, so the launched g2 is undefined.
+    text = FIELD_CFG_TEXT.replace("mean_photon_number = 0.292", "mean_photon_number = 1e-300")
+    assert run(["rate", write_cfg(tmp_path, text)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: UndefinedG2:")
+
+
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, field_cfg, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -314,6 +351,20 @@ class TestSimulateCommand:
         assert len(lines) == 6
 
 
+    def test_empty_z_block_without_multi_photon_pulses(self, tmp_path, capsys):
+        # With g2 = 0 and a one-detection block some trials draw no Z
+        # detection but some X detections; they distil no key.
+        text = FIELD_CFG_TEXT.replace("g2 = 0.00698", "g2 = 0").replace(
+            "block_size = 1e8", "block_size = 1"
+        )
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", write_cfg(tmp_path, text), "--reps", "3000", "--seed", "1"]
+        assert run(argv + ["-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert any(row[1] == "0" and row[3] != "0" for row in rows)
+        assert "# failures = 0" in capsys.readouterr().err
+
+
 class TestOptimizeCommand:
     def test_sps_target_improves_on_config(self, field_cfg, capsys):
         code = run(
@@ -349,6 +400,36 @@ class TestOptimizeCommand:
         config = load_config(field_cfg)
         scan_rate, _, _ = optimized_wcp_rate(config.channel, config.proto, config.sec)
         assert float(values["best_rate_per_pulse"]) == pytest.approx(scan_rate, rel=0.05)
+
+
+    @pytest.mark.parametrize("target", ["sps", "wcp"])
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_population_scorer_gives_the_point_result(
+        self, monkeypatch, capsys, target, seed
+    ):
+        import keyrates.cli as cli
+        from keyrates import optimizer
+
+        scorers = []
+
+        def batched(objective, space, settings, *, score_population):
+            scorers.append(score_population)
+            return optimizer.optimize(
+                objective, space, settings, score_population=score_population
+            )
+
+        def point_only(objective, space, settings, *, score_population):
+            return optimizer.optimize(objective, space, settings)
+
+        argv = ["optimize", bundled_field_config(), "--target", target,
+                "--seed", seed, "--generations", "20"]
+        outputs = []
+        for optimize in (batched, point_only):
+            monkeypatch.setattr(cli, "optimize", optimize)
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert scorers and scorers[0] is not None
+        assert outputs[0] == outputs[1]
 
 
 class TestCompareCommand:

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from keyrates.finite_key import (
     sps_key_length,
 )
 from keyrates.finite_key.comparison import Q_TX_GRID
-from keyrates.finite_key.core import SPS_CHERNOFF_USES, _sps_lanes
+from keyrates.finite_key.core import SPS_CHERNOFF_USES, _sps_key_lengths, _sps_lanes
 from keyrates.finite_key.wcp import WCP_CONCENTRATION_USES
 from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 
@@ -107,6 +108,23 @@ class TestSpsKeyLength:
         report = sps_key_length(tallies, SourceSpec(SourceKind.SPS, 0.9, 0.0), FIELD_PROTO, FIELD_SEC)
         assert report.key_length == 0.0
         assert report.rate_per_pulse == 0.0
+
+    @pytest.mark.parametrize("asymptotic", [False, True])
+    def test_empty_z_block_beside_x_detections_has_no_key(self, asymptotic):
+        # Zero Z detections and no multi-photon cap: there is no Z block
+        # to carry the X-basis phase error onto, so no key and no raise.
+        tallies = TallySet(1e6, 0.0, 5.0, 0.0, 1.0)
+        source = SourceSpec(SourceKind.SPS, 0.9, 0.0)
+        report = sps_key_length(tallies, source, FIELD_PROTO, FIELD_SEC, asymptotic)
+        assert report.key_length == 0.0
+        assert report.phase_error_bound == 0.5
+        with np.errstate(all="ignore"):
+            key_length, insufficient = _sps_key_lengths(
+                1e6, *np.array([[0.0], [5.0], [0.0], [1.0]]), 0.0,
+                FIELD_PROTO.q_z_tx, FIELD_SEC, asymptotic,
+            )
+        assert key_length.tolist() == [0.0]
+        assert insufficient.tolist() == [False]
 
     def test_multi_photon_cap_exhausts_block(self):
         tallies = TallySet(1e12, 1e4, 1e2, 1e2, 1e0)

@@ -7,11 +7,18 @@ import numpy as np
 import pytest
 
 from keyrates.channel import ChannelDetectorModel, detection_stats, link_transmittance
-from keyrates.finite_key import ProtocolConfig, SecurityParams
+from keyrates.finite_key import (
+    InsufficientBlock,
+    ProtocolConfig,
+    SecurityParams,
+    expected_tallies,
+    sps_key_length,
+)
 from keyrates.montecarlo import (
     RateSummary,
     TrialSpec,
     analytic_reference,
+    iter_trials,
     simulate_rate_distribution,
     simulate_trial,
 )
@@ -136,16 +143,48 @@ class TestRateDistribution:
     def test_seed_splitting_is_prefix_stable(self):
         # Child streams are spawned incrementally, so extending the run
         # reproduces the earlier trials unchanged.
-        from keyrates.montecarlo import iter_trials
-
         short = list(iter_trials(replace(FIELD_SPEC, repetitions=3)))
         longer = list(iter_trials(replace(FIELD_SPEC, repetitions=6)))
         assert [t for t, _, _ in short] == [t for t, _, _ in longer[:3]]
 
     def test_trials_draw_the_simulate_trial_tallies(self):
-        from keyrates.montecarlo import iter_trials
-
         spec = replace(FIELD_SPEC, repetitions=5)
         children = np.random.SeedSequence(spec.seed).spawn(spec.repetitions)
         expected = [simulate_trial(spec, np.random.default_rng(c)) for c in children]
         assert [t for t, _, _ in iter_trials(spec)] == expected
+
+
+@pytest.mark.parametrize(
+    "g2, block_size, keyless",
+    [
+        # Near the multi-photon threshold: about half the trials draw
+        # fewer Z detections than the cap and raise InsufficientBlock.
+        (0.085, 1e4, True),
+        # The field source: every trial distils a positive key.
+        (0.00698, 1e6, False),
+    ],
+)
+def test_batched_distillation_matches_per_trial_key_length(g2, block_size, keyless):
+    spec = replace(
+        FIELD_SPEC,
+        source=SourceSpec(SourceKind.SPS, 0.292, g2),
+        proto=replace(FIELD_SPEC.proto, block_size=block_size),
+        repetitions=300,
+    )
+    _, launched = expected_tallies(spec.source, spec.channel, spec.proto)
+    insufficient = 0
+    for tallies, key_length, rate in iter_trials(spec):
+        try:
+            report = sps_key_length(tallies, launched, spec.proto, spec.sec)
+        except InsufficientBlock:
+            insufficient += 1
+            assert math.isnan(key_length) and math.isnan(rate)
+            continue
+        # NumPy's log2 and libm's may differ in the last bit.
+        assert key_length == pytest.approx(report.key_length, rel=1e-12, abs=0.0)
+        assert rate == pytest.approx(report.rate_per_pulse, rel=1e-12, abs=0.0)
+        assert (key_length > 0.0) is not keyless
+    if keyless:
+        assert 0 < insufficient < spec.repetitions
+    else:
+        assert insufficient == 0

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from keyrates.asymptotic import sps_asymptotic_rate, sps_rate_fixed_mean
@@ -68,6 +69,18 @@ class TestMechanics:
             assert params["a"] + params["b"] + params["c"] == pytest.approx(1.0, abs=1e-12)
         assert result.best_params["a"] <= 1.0
 
+    def test_population_scorer_gives_the_point_result(self):
+        # quadratic_objective is plain arithmetic, so it scores the
+        # decoded columns of a whole population as well as one point.
+        settings = GASettings(seed=42, max_generations=40)
+        point = optimize(quadratic_objective, SPACE_2D, settings)
+        batched = optimize(
+            quadratic_objective, SPACE_2D, settings, score_population=quadratic_objective
+        )
+        assert batched.best_params == point.best_params
+        assert batched.best_rate == point.best_rate
+        assert batched.history == point.history
+
     def test_population_floor(self):
         with pytest.raises(ValueError):
             GASettings(population_size=3, elite_count=2)
@@ -109,3 +122,24 @@ def test_result_fields():
     assert isinstance(result, OptimizationResult)
     assert set(result.best_params) == {"x", "y"}
     assert len(result.history) >= 2
+
+
+def test_decode_of_a_gene_array_matches_each_row():
+    # Simplex members may go negative here, so some rows have no
+    # positive sum and must come back unchanged.
+    space = SearchSpace(
+        {"q": (0.5, 0.99), "a": (-0.2, 1.0), "b": (-0.2, 1.0), "c": (-0.2, 1.0)},
+        simplex_groups=(("a", "b", "c"),),
+    )
+    lows, highs = space.bounds_arrays()
+    genes = lows + np.random.default_rng(3).random((400, 4)) * (highs - lows)
+    columns = space.decode(genes)
+    rows = [space.decode(row) for row in genes]
+    assert any(r["a"] + r["b"] + r["c"] <= 0.0 for r in rows)
+    assert all(type(value) is float for row in rows for value in row.values())
+    for (_, a, b, c), row in zip(genes.tolist(), rows):
+        total = (a + b) + c
+        if total > 0.0:
+            assert (row["a"], row["b"], row["c"]) == (a / total, b / total, c / total)
+    for name in space.names:
+        assert columns[name].tolist() == [row[name] for row in rows]
