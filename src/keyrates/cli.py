@@ -6,8 +6,8 @@ comments allowed. Unknown keys and non-finite values are rejected.
 Exit codes: 0 success, 2 usage error (including an unwritable
 ``--output``), 3 malformed or invalid configuration (including one
 whose launched light is unphysical), 4 empty result (no boundary
-point, no rate crossover, or a block that the multi-photon cap or a
-zero gain leaves keyless).
+point, no rate crossover, a block that the multi-photon cap or a
+zero gain leaves keyless, or decoy bounds that give no key).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from .asymptotic import EmptyCurve, advantage_boundary
 from .channel import ChannelDetectorModel, RateTooHigh
 from .finite_key import (
+    DecoyInfeasible,
     InsufficientBlock,
     NoCrossover,
     ProtocolConfig,
@@ -234,15 +235,15 @@ def bundled_field_config() -> str:
 
 
 def _emit(lines: list[str], output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    """Write one line per entry, without joining them into one string."""
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(f"{line}\n" for line in lines)
         except OSError as exc:
             raise UnwritableOutput(f"cannot write --output: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 def _fmt(value: float) -> str:
@@ -562,7 +563,7 @@ def run(argv: list[str]) -> int:
         # A configuration that loads but has no physical launched light.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (EmptyCurve, NoCrossover, InsufficientBlock) as exc:
+    except (EmptyCurve, NoCrossover, InsufficientBlock, DecoyInfeasible) as exc:
         print(f"empty result: {exc}", file=sys.stderr)
         return 4
 

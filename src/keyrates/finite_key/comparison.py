@@ -230,8 +230,8 @@ def optimized_wcp_rate(
 
     In finite mode the whole grid is scored in one array call
     (``_wcp_rates``) and its first best point seeds the refinement,
-    which evaluates the scalar ``wcp_finite_key_rate`` one point at a
-    time; the returned rate and parameters come from the scalar path.
+    which evaluates ``wcp_finite_key_rate`` one point at a time on
+    floats; the returned rate and parameters come from that path.
     """
     if not asymptotic:
         proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)

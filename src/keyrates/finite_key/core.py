@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -151,6 +152,50 @@ def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
     return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
 
 
+# The operations of the distillers beyond arithmetic: libm on Python
+# floats and ints, NumPy on arrays and NumPy scalars. On floats ``where``
+# gets both branches evaluated, as ``np.where`` does, and ``maximum`` and
+# ``minimum`` are the two-argument ``max`` and ``min``, faster as lambdas.
+_PYTHON_NUMBERS = frozenset((float, int))
+_MATH = SimpleNamespace(
+    exp=math.exp, sqrt=math.sqrt, log2=math.log2, entropy=binary_entropy,
+    maximum=lambda a, b: b if b > a else a,
+    minimum=lambda a, b: b if b < a else a,
+    where=lambda condition, a, b: a if condition else b,
+)
+_NUMPY = SimpleNamespace(
+    exp=np.exp, sqrt=np.sqrt, log2=np.log2, entropy=_binary_entropy_array,
+    maximum=np.maximum, minimum=np.minimum, where=np.where,
+)
+
+
+def _ops(*values) -> SimpleNamespace:
+    """``_MATH`` if every value is a Python float or int, else ``_NUMPY``."""
+    return _MATH if {*map(type, values)} <= _PYTHON_NUMBERS else _NUMPY
+
+
+def _float_or_numpy(kernel, args: tuple):
+    """``kernel(*args)``, rerun on NumPy scalars where Python floats fail.
+
+    Floats raise where NumPy gives inf or nan, on branches that the
+    kernel's ``where`` or masks then discard (a division by zero, the
+    root or logarithm of a negative); the rerun carries them through
+    and returns NumPy scalars and 0-d arrays.
+    """
+    try:
+        return kernel(*args)
+    except (ArithmeticError, ValueError):
+        with np.errstate(all="ignore"):
+            return kernel(*(np.float64(a) if type(a) in (float, int) else a for a in args))
+
+
+def _chernoff(x, beta, direction: str, ops=_MATH):
+    """Multiplicative-Chernoff inversion of a count x, ``beta = ln(1 / eps)``."""
+    if direction == "upper":
+        return x + beta + ops.sqrt(2.0 * beta * x + beta * beta)
+    return ops.maximum(0.0, x - ops.sqrt(2.0 * beta * x))
+
+
 def chernoff_bound(x: float, eps: float, direction: str) -> float:
     """High-confidence bound on a count with observed or expected value x.
 
@@ -162,20 +207,9 @@ def chernoff_bound(x: float, eps: float, direction: str) -> float:
         raise ValueError(f"count must be >= 0, got {x}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    beta = math.log(1.0 / eps)
-    if direction == "upper":
-        return x + beta + math.sqrt(2.0 * beta * x + beta * beta)
-    if direction == "lower":
-        return max(0.0, x - math.sqrt(2.0 * beta * x))
-    raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-
-
-def _upper_count(x: float, eps: float) -> float:
-    # Pipeline convention: an exactly-zero count or expectation stays
-    # zero, so degenerate configurations reduce to the ideal formula.
-    if x <= 0.0:
-        return 0.0
-    return chernoff_bound(x, eps, "upper")
+    if direction not in ("upper", "lower"):
+        raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    return _chernoff(x, math.log(1.0 / eps), direction)
 
 
 def sps_key_length(
@@ -196,111 +230,84 @@ def sps_key_length(
     """
     if source.kind is not SourceKind.SPS:
         raise ValueError("sps_key_length needs an SPS source")
-    n_s = tallies.n_pulses_sent
-    n_z = tallies.z_detections
-    n_x = tallies.x_detections
-    # In the infinite-block limit (eps = 1) every bound is the count itself.
-    eps_1 = 1.0 if asymptotic else sec.eps_pe / SPS_CHERNOFF_USES
-    pa_cost = 0.0 if asymptotic else 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-    correctness_cost = 0.0 if asymptotic else math.log2(2.0 / sec.eps_cor)
-
+    t = tallies
     p2 = source.g2 * source.mean_photon_number**2 / 2.0
-    mp_cap_z = _upper_count(n_s * proto.q_z_tx * p2, eps_1)
-    n_z_floor = n_z - mp_cap_z
-    if n_z_floor <= 0.0 and mp_cap_z > 0.0:
+    report, insufficient = _float_or_numpy(
+        _sps_key_lengths,
+        (t.n_pulses_sent, t.z_detections, t.x_detections, t.z_errors, t.x_errors,
+         p2, proto.q_z_tx, sec, asymptotic),
+    )
+    if insufficient:
         raise InsufficientBlock(
-            f"multi-photon cap {mp_cap_z:.4g} >= Z detections {n_z:.4g}"
+            f"multi-photon cap {report.multi_photon_cap:.4g} >= Z detections "
+            f"{t.z_detections:.4g}"
         )
-    n_z_floor = max(n_z_floor, 0.0)
-
-    qber_z = tallies.z_errors / n_z if n_z > 0 else 0.0
-    lambda_ec = sec.f_ec * n_z * binary_entropy(qber_z)
-
-    # Phase error: keep every observed X error, remove only the assumed
-    # multi-photon share of the X sample, then charge the statistical
-    # transfer onto the Z block.
-    mp_cap_x = _upper_count(n_s * (1.0 - proto.q_z_tx) * p2, eps_1)
-    n_x_floor = n_x - mp_cap_x
-    if n_x_floor <= 0.0 or n_z_floor <= 0.0:
-        # No X sample to estimate from, or no Z block to transfer onto
-        # (zero Z detections without multi-photon pulses): no key.
-        phase_error = 0.5
-    else:
-        phi_x = min(0.5, _upper_count(tallies.x_errors, eps_1) / n_x_floor)
-        # Without deviations the transfer is phi_x itself; (n phi) / n
-        # need not round back to phi, so it is skipped.
-        phase_error = (
-            phi_x
-            if asymptotic
-            else min(0.5, _upper_count(n_z_floor * phi_x, eps_1) / n_z_floor)
-        )
-
-    key_length = max(
-        0.0,
-        n_z_floor * (1.0 - binary_entropy(phase_error))
-        - lambda_ec
-        - pa_cost
-        - correctness_cost,
-    )
-    return KeyReport(
-        key_length=key_length,
-        rate_per_pulse=key_length / n_s if n_s > 0 else 0.0,
-        n_pulses_sent=n_s,
-        multi_photon_cap=mp_cap_z,
-        secure_detections=n_z_floor,
-        phase_error_bound=phase_error,
-        lambda_ec=lambda_ec,
-        qber=qber_z,
-    )
+    if not t.n_pulses_sent > 0:
+        return replace(report, rate_per_pulse=0.0)  # no pulses: no key, not 0 / 0
+    return report
 
 
 def _sps_key_lengths(
     n_s, n_z, n_x, z_errors, x_errors, p2, q_z_tx, sec: SecurityParams, asymptotic: bool = False
-):
-    """``sps_key_length(...).key_length`` over broadcast tallies.
+) -> tuple[KeyReport, object]:
+    """The SPS key-length formula on floats or broadcast arrays.
 
     The launched source enters as its two-photon probability ``p2``
-    (``g2 <n>^2 / 2``). Returns the key lengths and the mask of blocks
-    for which ``sps_key_length`` raises ``InsufficientBlock``; the key
-    length is meaningless there. The expressions are those of the scalar
-    function, in the same order; callers silence NumPy's floating-point
-    warnings.
+    (``g2 <n>^2 / 2``). Returns the ``KeyReport`` of every block and
+    the mask of blocks whose multi-photon cap swallows the Z block
+    (``InsufficientBlock``); the report is meaningless there, and so is
+    the rate of a block without pulses. Array callers silence NumPy's
+    floating-point warnings.
     """
+    # The rule of ``_ops``, spelled out: the call would cost a twentieth
+    # of a float-path key length.
+    types = {
+        type(n_s), type(n_z), type(n_x), type(z_errors), type(x_errors), type(p2), type(q_z_tx)
+    }
+    ops = _MATH if types <= _PYTHON_NUMBERS else _NUMPY
     if asymptotic:
-        def upper(x):
-            return x
-
-        pa_cost = correctness_cost = 0.0
+        # The infinite-block limit, eps = 1: every bound is the count itself.
+        beta = pa_cost = correctness_cost = 0.0
     else:
         beta = math.log(1.0 / (sec.eps_pe / SPS_CHERNOFF_USES))
-
-        def upper(x):
-            return np.where(x <= 0.0, 0.0, x + beta + np.sqrt(2.0 * beta * x + beta * beta))
-
         pa_cost = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
         correctness_cost = math.log2(2.0 / sec.eps_cor)
+
+    def upper(x):
+        # An exactly-zero count or expectation stays zero, so degenerate
+        # configurations reduce to the ideal formula.
+        return ops.where(x <= 0.0, 0.0, _chernoff(x, beta, "upper", ops))
 
     mp_cap_z = upper(n_s * q_z_tx * p2)
     n_z_floor = n_z - mp_cap_z
     insufficient = (n_z_floor <= 0.0) & (mp_cap_z > 0.0)
-    n_z_floor = np.maximum(n_z_floor, 0.0)
-    qber_z = np.where(n_z > 0, z_errors / n_z, 0.0)
-    lambda_ec = sec.f_ec * n_z * _binary_entropy_array(qber_z)
+    n_z_floor = ops.maximum(n_z_floor, 0.0)
+    qber_z = ops.where(n_z > 0, z_errors / n_z, 0.0)
+    lambda_ec = sec.f_ec * n_z * ops.entropy(qber_z)
+    # Phase error: keep every observed X error, remove only the assumed
+    # multi-photon share of the X sample, then charge the statistical
+    # transfer onto the Z block. Without an X sample to estimate from, or
+    # a Z block to transfer onto, it is 0.5: no key. Without deviations
+    # the transfer is phi_x itself; (n phi) / n need not round back to
+    # phi, so it is skipped.
     n_x_floor = n_x - upper(n_s * (1.0 - q_z_tx) * p2)
-    phi_x = np.minimum(0.5, upper(x_errors) / n_x_floor)
-    phase_error = np.where(
+    phi_x = ops.minimum(0.5, upper(x_errors) / n_x_floor)
+    phase_error = ops.where(
         (n_x_floor <= 0.0) | (n_z_floor <= 0.0),
         0.5,
-        phi_x if asymptotic else np.minimum(0.5, upper(n_z_floor * phi_x) / n_z_floor),
+        phi_x if asymptotic else ops.minimum(0.5, upper(n_z_floor * phi_x) / n_z_floor),
     )
-    key_length = np.maximum(
+    key_length = ops.maximum(
         0.0,
-        n_z_floor * (1.0 - _binary_entropy_array(phase_error))
+        n_z_floor * (1.0 - ops.entropy(phase_error))
         - lambda_ec
         - pa_cost
         - correctness_cost,
     )
-    return key_length, insufficient
+    rate = key_length / n_s
+    # Positional: keywords cost a tenth of a float call.
+    report = KeyReport(key_length, rate, n_s, mp_cap_z, n_z_floor, phase_error, lambda_ec, qber_z)
+    return report, insufficient
 
 
 def _sps_expectation(probs, t, yields, error_yields, q_z_tx, proto: ProtocolConfig):
@@ -312,8 +319,7 @@ def _sps_expectation(probs, t, yields, error_yields, q_z_tx, proto: ProtocolConf
     click and error-click probabilities, and sizes the block so that the
     Z sample, kept with probability ``q_z_tx * q_z_rx``, holds
     ``proto.block_size`` detections. Pure arithmetic, so floats and
-    NumPy arrays give bit-identical results; Python floats raise
-    ``ZeroDivisionError`` where arrays give inf or nan.
+    NumPy arrays give bit-identical results.
     """
     p0, p1, p2 = probs
     y0, y1, y2 = yields
@@ -339,19 +345,11 @@ def _sps_point(source: SourceSpec, channel: ChannelDetectorModel, proto: Protoco
     """
     if source.kind is not SourceKind.SPS:
         raise ValueError("the SPS expectation needs an SPS source")
-    args = (
-        source.distribution().probs,
-        proto.pre_attenuation,
-        *photon_yields(link_transmittance(channel), channel, 2),
-        proto.q_z_tx,
-        proto,
+    probs = source.distribution().probs
+    yields, error_yields = photon_yields(link_transmittance(channel), channel, 2)
+    expectation = _float_or_numpy(
+        _sps_expectation, (probs, proto.pre_attenuation, yields, error_yields, proto.q_z_tx, proto)
     )
-    try:
-        expectation = _sps_expectation(*args)
-    except ZeroDivisionError:
-        # A zero mean or gain: rerun as NumPy scalars to see which.
-        with np.errstate(all="ignore"):
-            expectation = _sps_expectation(args[0], np.float64(args[1]), *args[2:])
     mean, _, q, *_ = expectation
     if not mean * mean > 0.0:
         raise UndefinedG2(f"g2 is undefined for a launched mean of {mean:.3g}")
@@ -416,16 +414,13 @@ def _sps_lanes(
     Returns ``rates(pre_attenuation)``. Element i of
     ``rates(pre_attenuation)`` scores ``SourceSpec(SPS, n_mean[i], g2[i])``
     on ``replace(channel, channel_loss_db=loss_db[i])`` under
-    ``replace(proto, q_z_tx=q_z_tx[i], pre_attenuation=pre_attenuation[i])``,
-    with the expressions of the scalar path evaluated in the same order
-    and the expectation from the same ``_sps_expectation``. Wherever the
-    scalar path raises ``InsufficientBlock`` or ``NonPhysicalSource``
-    (``g2 <n> > 1``, ``p0 < 0``) the rate is exactly 0. Every term that
+    ``replace(proto, q_z_tx=q_z_tx[i], pre_attenuation=pre_attenuation[i])``
+    through the same ``_sps_expectation`` and ``_sps_key_lengths``, and is
+    exactly 0 wherever the scalar path raises ``InsufficientBlock`` or
+    ``NonPhysicalSource`` (``g2 <n> > 1``, ``p0 < 0``). Every term that
     does not depend on the pre-attenuation (source, detector yields,
     basis split) is derived once, so a search that scores many
-    pre-attenuations per lane builds the lanes once. One call costs
-    several scalar evaluations, so per-point callers keep the scalar
-    function.
+    pre-attenuations per lane builds the lanes once.
     """
     n_mean, g2, q_z_tx, loss_db = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (n_mean, g2, q_z_tx, loss_db))
@@ -467,8 +462,8 @@ def _sps_lanes(
             mean, g2_launched, q, qber, n_s, n_x = _sps_expectation(
                 (p0, p1, p2), t, (y0, y1, y2), (e0, e1, e2), q_z_tx, proto
             )
-            # sps_key_length on the expected tallies and the launched source.
-            key_length, insufficient = _sps_key_lengths(
+            # The key length of the expected tallies and the launched source.
+            report, insufficient = _sps_key_lengths(
                 n_s,
                 block,
                 n_x,
@@ -479,7 +474,6 @@ def _sps_lanes(
                 sec,
                 asymptotic,
             )
-            rate = key_length / n_s
         valid = (
             lane_ok
             & (0.0 < t) & (t <= 1.0)
@@ -487,6 +481,6 @@ def _sps_lanes(
             & (q > 0.0)
             & ~insufficient
         )
-        return np.where(valid, rate, 0.0)
+        return np.where(valid, report.rate_per_pulse, 0.0)
 
     return rates

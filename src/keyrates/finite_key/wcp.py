@@ -30,9 +30,10 @@ from .core import (
     KeyReport,
     ProtocolConfig,
     SecurityParams,
-    _binary_entropy_array,
+    _chernoff,
+    _float_or_numpy,
+    _ops,
     binary_entropy,
-    chernoff_bound,
 )
 
 # Concentration draws charged against eps_pe: four count bounds per
@@ -72,32 +73,10 @@ class WcpIntensities:
         return 1.0 - self.p_signal - self.p_decoy
 
 
-def _poisson_gain(mu: float, eta: float, p_dc: float) -> float:
-    return 1.0 - (1.0 - p_dc) * math.exp(-eta * mu)
-
-
-def _poisson_error_gain(mu: float, eta: float, p_dc: float, p_mis: float) -> float:
-    miss = math.exp(-eta * mu)
-    return 0.5 * p_dc * miss + p_mis * (1.0 - miss)
-
-
-def _tau(n: int, mus: list[float], probs: list[float]) -> float:
-    """Probability that an emitted pulse carries exactly n photons."""
-    return sum(
-        p * math.exp(-mu) * mu**n / math.factorial(n) for mu, p in zip(mus, probs)
-    )
-
-
-def _sampling_correction(eps: float, rate: float, n_x: float, n_z: float) -> float:
-    """Deviation when an error rate observed on n_x carries over to n_z."""
-    if n_x <= 0.0 or n_z <= 0.0:
-        return 0.5
-    if rate <= 0.0 or rate >= 1.0:
-        return 0.0
-    spread = (n_x + n_z) / (n_x * n_z)
-    variance = rate * (1.0 - rate)
-    log_arg = spread / variance * (21.0 / eps) ** 2
-    return math.sqrt(spread * variance / math.log(2.0) * math.log2(log_arg))
+def _poisson_gains(mu, eta, p_dc, p_mis, exp=math.exp):
+    """Gain and error gain of Poissonian light of mean ``mu``."""
+    miss = exp(-eta * mu)
+    return 1.0 - (1.0 - p_dc) * miss, 0.5 * p_dc * miss + p_mis * (1.0 - miss)
 
 
 def _yield_floor(lo, up, tau0, tau1, mu_s, mu_d):
@@ -117,6 +96,134 @@ def _yield_floor(lo, up, tau0, tau1, mu_s, mu_d):
     return s0, s1
 
 
+def _wcp_expectation(mus, probs, q_z_tx, eta, p_dc, p_mis, proto: ProtocolConfig):
+    """Pulses sent, photon-number weights and expected tallies.
+
+    ``mus`` and ``probs`` are the signal, decoy and vacuum intensities
+    and their emission probabilities. Returns ``n_s``, sized so that the
+    Z detections of all intensities make up ``proto.block_size``, the
+    probabilities ``tau0`` and ``tau1`` of an emitted pulse carrying
+    zero or one photon, and per intensity the Z and X detections and the
+    Z and X errors. Plain loops, as comprehensions cost more than the
+    arithmetic on floats; the sums run in the order of ``sum``.
+    """
+    exp = _ops(*mus, *probs, q_z_tx).exp
+    q_sift_z = q_z_tx * proto.q_z_rx
+    q_sift_x = (1.0 - q_z_tx) * (1.0 - proto.q_z_rx)
+    gains = []
+    q_avg = tau0 = tau1 = 0
+    for mu, p in zip(mus, probs):
+        gains.append(_poisson_gains(mu, eta, p_dc, p_mis, exp))
+        q_avg = q_avg + p * gains[-1][0]
+        decay = exp(-mu)
+        tau0 = tau0 + p * decay
+        tau1 = tau1 + p * decay * mu
+    n_s = proto.block_size / (q_sift_z * q_avg)
+    n_zk, n_xk, m_zk, m_xk = [], [], [], []
+    for p, (gain, error_gain) in zip(probs, gains):
+        n_zk.append(n_s * q_sift_z * p * gain)
+        n_xk.append(n_s * q_sift_x * p * gain)
+        m_zk.append(n_s * q_sift_z * p * error_gain)
+        m_xk.append(n_s * q_sift_x * p * error_gain)
+    return n_s, tau0, tau1, n_zk, n_xk, m_zk, m_xk
+
+
+def _wcp_key_lengths(
+    n_s, n_zk, n_xk, m_zk, m_xk, mus, probs, tau0, tau1, n_z, sec: SecurityParams, concentration
+):
+    """The decoy key length of ``_wcp_expectation``'s tallies, floats or arrays.
+
+    ``n_z`` is the Z block. Returns the ``KeyReport`` and the masks of
+    the points without detections, with a negative single-photon Z
+    bound, or with a sampling-correction logarithm below one, where the
+    report is meaningless. Array callers silence NumPy's warnings.
+    """
+    ops = _ops(n_s, tau0, tau1, *mus, *probs)
+    mu_s, mu_d = mus[0], mus[1]
+    eps_1 = sec.eps_pe / WCP_CONCENTRATION_USES
+    beta = math.log(1.0 / eps_1)
+    # Rescaling to emission rates; an intensity never sent counts 0.
+    scales = []
+    for mu, p in zip(mus, probs):
+        scales.append((p > 0.0, ops.exp(mu) / p))
+
+    def bounds(counts, basis_total):
+        """Pessimistic per-intensity counts rescaled to emission rates.
+
+        Hoeffding deviations are scaled by the number of detections in
+        the basis, the trials over which each per-intensity tally (a
+        count or an error count) is accumulated.
+        """
+        delta = ops.sqrt(0.5 * basis_total * beta)
+        lower, upper = [], []
+        for (sent, scale), n in zip(scales, counts):
+            if concentration == "hoeffding":
+                lo, up = ops.maximum(0.0, n - delta), n + delta
+            else:
+                lo, up = _chernoff(n, beta, "lower", ops), _chernoff(n, beta, "upper", ops)
+            lower.append(ops.where(sent, scale * lo, 0.0))
+            upper.append(ops.where(sent, scale * up, 0.0))
+        return lower, upper
+
+    n_z_total = sum(n_zk)
+    no_gain = ops.where(n_z_total > 0.0, False, True)
+    s_z0, s_z1 = _yield_floor(*bounds(n_zk, n_z_total), tau0, tau1, mu_s, mu_d)
+    _, s_x1 = _yield_floor(*bounds(n_xk, sum(n_xk)), tau0, tau1, mu_s, mu_d)
+    infeasible = (probs[0] > 0) & (probs[1] > 0) & (s_z1 < 0)
+    s_z1 = ops.maximum(0.0, s_z1)
+    s_x1 = ops.maximum(0.0, s_x1)
+    _, m_up = bounds(m_xk, sum(n_xk))
+    v_x1 = tau1 * m_up[1] / mu_d
+
+    # The single-photon phase error, plus the deviation of carrying an
+    # error rate observed on s_x1 over to s_z1; 0.5 without both floors.
+    sampled = (s_x1 > 0.0) & (s_z1 > 0.0)
+    phi = ops.minimum(0.5, v_x1 / s_x1)
+    corrected = sampled & (phi > 0.0) & (phi < 1.0)
+    spread = (s_x1 + s_z1) / (s_x1 * s_z1)
+    variance = phi * (1.0 - phi)
+    log_arg = spread / variance * (21.0 / eps_1) ** 2
+    correction = ops.sqrt(spread * variance / math.log(2.0) * ops.log2(log_arg))
+    phase_error = ops.where(
+        sampled, ops.minimum(0.5, phi + ops.where(corrected, correction, 0.0)), 0.5
+    )
+
+    qber_z = sum(m_zk) / n_z
+    lambda_ec = sec.f_ec * n_z * ops.entropy(qber_z)
+    key_length = ops.maximum(
+        0.0,
+        s_z0
+        + s_z1 * (1.0 - ops.entropy(phase_error))
+        - lambda_ec
+        - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+        - math.log2(2.0 / sec.eps_cor),
+    )
+    report = KeyReport(
+        key_length,
+        key_length / n_s,
+        n_s,
+        n_z - s_z0 - s_z1,  # multi-photon cap
+        s_z0 + s_z1,  # secure detections
+        phase_error,
+        lambda_ec,
+        qber_z,
+    )
+    return report, no_gain, infeasible, corrected & (log_arg < 1.0)
+
+
+def _wcp_distil(mu_s, mu_d, p_s, p_d, q_z_tx, channel, proto, sec, concentration):
+    """``_wcp_key_lengths`` of the ``_wcp_expectation`` of one or more points."""
+    mus = (mu_s, mu_d, 0.0)
+    probs = (p_s, p_d, 1.0 - p_s - p_d)
+    eta, p_dc = link_transmittance(channel), dark_count_prob(channel)
+    n_s, tau0, tau1, *tallies = _wcp_expectation(
+        mus, probs, q_z_tx, eta, p_dc, channel.misalignment_prob, proto
+    )
+    return _wcp_key_lengths(
+        n_s, *tallies, mus, probs, tau0, tau1, proto.block_size, sec, concentration
+    )
+
+
 def wcp_finite_key_rate(
     intensities: WcpIntensities,
     channel: ChannelDetectorModel,
@@ -128,102 +235,22 @@ def wcp_finite_key_rate(
 
     Expected tallies are generated from the channel model so that the
     Z-basis detections across all intensities match the configured
-    block size. ``_wcp_rates`` is the elementwise twin of this function
-    for parameter grids; a change to the analysis goes into both.
+    block size. Raises ``DecoyInfeasible`` where the bounds give no key.
     """
     if concentration not in CONCENTRATIONS:
         raise ValueError(f"concentration must be one of {CONCENTRATIONS}")
-
-    eta = link_transmittance(channel)
-    p_dc = dark_count_prob(channel)
-    p_mis = channel.misalignment_prob
-    mus = [intensities.mu_signal, intensities.mu_decoy, 0.0]
-    probs = [intensities.p_signal, intensities.p_decoy, intensities.p_vacuum]
-
-    gains = [_poisson_gain(mu, eta, p_dc) for mu in mus]
-    error_gains = [_poisson_error_gain(mu, eta, p_dc, p_mis) for mu in mus]
-    q_avg = sum(p * q for p, q in zip(probs, gains))
-    if q_avg <= 0.0:
+    i = intensities
+    parameters = (i.mu_signal, i.mu_decoy, i.p_signal, i.p_decoy, proto.q_z_tx)
+    report, no_gain, infeasible, short_log = _float_or_numpy(
+        _wcp_distil, (*parameters, channel, proto, sec, concentration)
+    )
+    if no_gain:
         raise DecoyInfeasible("zero gain: no detections expected")
-
-    q_sift_z = proto.q_z_tx * proto.q_z_rx
-    q_sift_x = (1.0 - proto.q_z_tx) * (1.0 - proto.q_z_rx)
-    n_s = proto.block_size / (q_sift_z * q_avg)
-    n_zk = [n_s * q_sift_z * p * q for p, q in zip(probs, gains)]
-    n_xk = [n_s * q_sift_x * p * q for p, q in zip(probs, gains)]
-    m_zk = [n_s * q_sift_z * p * eq for p, eq in zip(probs, error_gains)]
-    m_xk = [n_s * q_sift_x * p * eq for p, eq in zip(probs, error_gains)]
-
-    eps_1 = sec.eps_pe / WCP_CONCENTRATION_USES
-
-    def bounds(counts: list[float], basis_total: float) -> tuple[list[float], list[float]]:
-        """Pessimistic per-intensity counts rescaled to emission rates.
-
-        Hoeffding deviations are scaled by the number of detections in
-        the basis, the trials over which each per-intensity tally (a
-        count or an error count) is accumulated.
-        """
-        lower, upper = [], []
-        for mu, p, n in zip(mus, probs, counts):
-            if p <= 0.0:
-                lower.append(0.0)
-                upper.append(0.0)
-                continue
-            scale = math.exp(mu) / p
-            if concentration == "hoeffding":
-                delta = math.sqrt(0.5 * basis_total * math.log(1.0 / eps_1))
-                lower.append(scale * max(0.0, n - delta))
-                upper.append(scale * (n + delta))
-            else:
-                lower.append(scale * chernoff_bound(n, eps_1, "lower"))
-                upper.append(scale * chernoff_bound(n, eps_1, "upper"))
-        return lower, upper
-
-    tau0 = _tau(0, mus, probs)
-    tau1 = _tau(1, mus, probs)
-    mu_s, mu_d = mus[0], mus[1]
-
-    s_z0, s_z1 = _yield_floor(*bounds(n_zk, sum(n_zk)), tau0, tau1, mu_s, mu_d)
-    _, s_x1 = _yield_floor(*bounds(n_xk, sum(n_xk)), tau0, tau1, mu_s, mu_d)
-    if intensities.p_signal > 0 and intensities.p_decoy > 0 and s_z1 < 0:
-        raise DecoyInfeasible(
-            f"single-photon Z yield bound is negative ({s_z1:.4g})"
-        )
-    s_z1 = max(0.0, s_z1)
-    s_x1 = max(0.0, s_x1)
-
-    _, m_up = bounds(m_xk, sum(n_xk))
-    v_x1 = tau1 * m_up[1] / mu_d
-
-    if s_x1 <= 0.0 or s_z1 <= 0.0:
-        phase_error = 0.5
-    else:
-        phi = min(0.5, v_x1 / s_x1)
-        phase_error = min(
-            0.5, phi + _sampling_correction(eps_1, phi, s_x1, s_z1)
-        )
-
-    n_z = proto.block_size
-    qber_z = sum(m_zk) / n_z
-    lambda_ec = sec.f_ec * n_z * binary_entropy(qber_z)
-    key_length = max(
-        0.0,
-        s_z0
-        + s_z1 * (1.0 - binary_entropy(phase_error))
-        - lambda_ec
-        - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-        - math.log2(2.0 / sec.eps_cor),
-    )
-    return KeyReport(
-        key_length=key_length,
-        rate_per_pulse=key_length / n_s,
-        n_pulses_sent=n_s,
-        multi_photon_cap=n_z - s_z0 - s_z1,
-        secure_detections=s_z0 + s_z1,
-        phase_error_bound=phase_error,
-        lambda_ec=lambda_ec,
-        qber=qber_z,
-    )
+    if infeasible:
+        raise DecoyInfeasible("single-photon Z yield bound is negative")
+    if short_log:
+        raise DecoyInfeasible("sampling correction undefined: its log argument is below 1")
+    return report
 
 
 def _wcp_rates(
@@ -240,105 +267,25 @@ def _wcp_rates(
     """``wcp_finite_key_rate(...).rate_per_pulse`` over broadcast parameter arrays.
 
     Element i scores ``WcpIntensities(mu_s[i], mu_d[i], p_s[i], p_d[i])``
-    under ``replace(proto, q_z_tx=q_z_tx[i])``, with the expressions of
-    the scalar path evaluated in the same order. Wherever the scalar
-    path raises for a point (invalid intensities or basis ratio, zero
-    gain, a negative single-photon Z bound, or a sampling-correction
-    logarithm below one) the rate is exactly 0. One call costs several
-    scalar evaluations, so per-point callers keep the scalar function.
+    under ``replace(proto, q_z_tx=q_z_tx[i])`` with the same distiller,
+    and is exactly 0 wherever the scalar path raises.
     """
     if concentration not in CONCENTRATIONS:
         raise ValueError(f"concentration must be one of {CONCENTRATIONS}")
     mu_s, mu_d, p_s, p_d, q_z_tx = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (mu_s, mu_d, p_s, p_d, q_z_tx))
     )
-    eta = link_transmittance(channel)
-    p_dc = dark_count_prob(channel)
-    p_mis = channel.misalignment_prob
-    eps_1 = sec.eps_pe / WCP_CONCENTRATION_USES
-    beta = math.log(1.0 / eps_1)
-
-    # Points the scalar path rejects may produce inf or nan below; the
-    # mask at the end sets them to 0.
     with np.errstate(all="ignore"):
-        mus = (mu_s, mu_d, 0.0)
-        probs = (p_s, p_d, 1.0 - p_s - p_d)
-        misses = [np.exp(-eta * mu) for mu in mus]
-        gains = [1.0 - (1.0 - p_dc) * miss for miss in misses]
-        error_gains = [0.5 * p_dc * miss + p_mis * (1.0 - miss) for miss in misses]
-        q_avg = sum(p * q for p, q in zip(probs, gains))
-
-        q_sift_z = q_z_tx * proto.q_z_rx
-        q_sift_x = (1.0 - q_z_tx) * (1.0 - proto.q_z_rx)
-        n_s = proto.block_size / (q_sift_z * q_avg)
-        n_zk = [n_s * q_sift_z * p * q for p, q in zip(probs, gains)]
-        n_xk = [n_s * q_sift_x * p * q for p, q in zip(probs, gains)]
-        m_zk = [n_s * q_sift_z * p * eq for p, eq in zip(probs, error_gains)]
-        m_xk = [n_s * q_sift_x * p * eq for p, eq in zip(probs, error_gains)]
-
-        def bounds(counts, basis_total):
-            lower, upper = [], []
-            for mu, p, n in zip(mus, probs, counts):
-                scale = np.exp(mu) / p
-                if concentration == "hoeffding":
-                    delta = np.sqrt(0.5 * basis_total * beta)
-                    lo, up = n - delta, n + delta
-                else:
-                    lo = n - np.sqrt(2.0 * beta * n)
-                    up = n + beta + np.sqrt(2.0 * beta * n + beta * beta)
-                lower.append(np.where(p > 0.0, scale * np.maximum(0.0, lo), 0.0))
-                upper.append(np.where(p > 0.0, scale * up, 0.0))
-            return lower, upper
-
-        decays = [np.exp(-mu) for mu in mus]
-        tau0 = sum(p * decay for p, decay in zip(probs, decays))
-        tau1 = sum(p * decay * mu for p, decay, mu in zip(probs, decays, mus))
-
-        s_z0, s_z1 = _yield_floor(*bounds(n_zk, sum(n_zk)), tau0, tau1, mu_s, mu_d)
-        _, s_x1 = _yield_floor(*bounds(n_xk, sum(n_xk)), tau0, tau1, mu_s, mu_d)
-        infeasible = (p_s > 0) & (p_d > 0) & (s_z1 < 0)
-        s_z1 = np.maximum(0.0, s_z1)
-        s_x1 = np.maximum(0.0, s_x1)
-
-        _, m_up = bounds(m_xk, sum(n_xk))
-        v_x1 = tau1 * m_up[1] / mu_d
-
-        # _sampling_correction, reached only where both floors are positive.
-        sampled = (s_x1 > 0.0) & (s_z1 > 0.0)
-        phi = np.minimum(0.5, v_x1 / s_x1)
-        corrected = sampled & (phi > 0.0) & (phi < 1.0)
-        spread = (s_x1 + s_z1) / (s_x1 * s_z1)
-        variance = phi * (1.0 - phi)
-        log_arg = spread / variance * (21.0 / eps_1) ** 2
-        correction = np.where(
-            corrected,
-            np.sqrt(spread * variance / math.log(2.0) * np.log2(log_arg)),
-            0.0,
+        report, no_gain, infeasible, short_log = _wcp_distil(
+            mu_s, mu_d, p_s, p_d, q_z_tx, channel, proto, sec, concentration
         )
-        phase_error = np.where(sampled, np.minimum(0.5, phi + correction), 0.5)
-
-        n_z = proto.block_size
-        qber_z = sum(m_zk) / n_z
-        lambda_ec = sec.f_ec * n_z * _binary_entropy_array(qber_z)
-        key_length = np.maximum(
-            0.0,
-            s_z0
-            + s_z1 * (1.0 - _binary_entropy_array(phase_error))
-            - lambda_ec
-            - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-            - math.log2(2.0 / sec.eps_cor),
-        )
-        rate = key_length / n_s
-
     valid = (
         (0.0 < mu_d) & (mu_d < mu_s)
         & (p_s >= 0.0) & (p_d >= 0.0) & (p_s + p_d <= 1.0)
         & (0.0 < q_z_tx) & (q_z_tx < 1.0)
-        & (q_avg > 0.0)
-        & ~infeasible
-        & ~(corrected & (log_arg < 1.0))
+        & ~(no_gain | infeasible | short_log)
     )
-    return np.where(valid, rate, 0.0)
+    return np.where(valid, report.rate_per_pulse, 0.0)
 
 
 def wcp_asymptotic_practical_rate(
@@ -363,8 +310,8 @@ def wcp_asymptotic_practical_rate(
     y0 = p_dc
     y1 = 1.0 - (1.0 - p_dc) * (1.0 - eta)
     e1 = (0.5 * p_dc * (1.0 - eta) + p_mis * eta) / y1 if y1 > 0 else 0.5
-    gain = _poisson_gain(mu, eta, p_dc)
-    qber = _poisson_error_gain(mu, eta, p_dc, p_mis) / gain if gain > 0 else 0.5
+    gain, error_gain = _poisson_gains(mu, eta, p_dc, p_mis)
+    qber = error_gain / gain if gain > 0 else 0.5
     q_sift_z = proto.q_z_tx * proto.q_z_rx
     rate = q_sift_z * (
         math.exp(-mu) * y0

@@ -93,8 +93,8 @@ def iter_trials(spec: TrialSpec):
 
     Repetitions draw from independent child streams spawned off the
     trial seed. Every trial is drawn first and then all are distilled in
-    one array call (``_sps_key_lengths``, the elementwise
-    ``sps_key_length``). Trials where distillation is infeasible yield
+    one array call of ``_sps_key_lengths``, the distiller behind
+    ``sps_key_length``. Trials where distillation is infeasible yield
     NaNs instead of aborting the run.
     """
     counts, launched = _sift_counts(spec)
@@ -110,10 +110,10 @@ def iter_trials(spec: TrialSpec):
     # sps_key_length's expression: `**2`, not `*`, so the last bit agrees.
     p2 = launched.g2 * launched.mean_photon_number**2 / 2.0
     with np.errstate(all="ignore"):
-        key_length, insufficient = _sps_key_lengths(
+        report, insufficient = _sps_key_lengths(
             n_s, n_z, n_x, m_z, m_x, p2, spec.proto.q_z_tx, spec.sec
         )
-    key_length = np.where(insufficient, math.nan, key_length)
+    key_length = np.where(insufficient, math.nan, report.key_length)
     rate = key_length / n_s
     # Row by row, so no Python copy of every trial is held.
     for draw, key, r in zip(draws, key_length, rate):

@@ -156,6 +156,30 @@ class TestRateCommand:
         assert len(err) == 1
         assert err[0].startswith("empty result: multi-photon cap")
 
+    @pytest.mark.parametrize(
+        "loss, block, message",
+        [
+            # A short block leaves the single-photon Z bound negative.
+            ("10", "1e3", "single-photon Z yield bound is negative"),
+            # A huge block drives the sampling-correction log argument below 1.
+            ("0", "1e30", "sampling correction"),
+        ],
+    )
+    def test_infeasible_decoy_bounds_are_empty_results(
+        self, tmp_path, capsys, loss, block, message
+    ):
+        text = (
+            FIELD_CFG_TEXT.replace("source_kind = sps", "source_kind = wcp")
+            .replace("channel_loss_db = 14.6", f"channel_loss_db = {loss}")
+            .replace("block_size = 1e8", f"block_size = {block}")
+            + "mu_signal = 0.6\nmu_decoy = 0.15\np_signal = 0.75\np_decoy = 0.125\n"
+        )
+        assert run(["rate", write_cfg(tmp_path, text)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("empty result:")
+        assert message in err[0]
+
     def test_wcp_source_without_intensities_fails(self, tmp_path):
         text = FIELD_CFG_TEXT.replace("source_kind = sps", "source_kind = wcp")
         path = write_cfg(tmp_path, text)
@@ -206,6 +230,7 @@ def test_sps_only_commands_reject_wcp_config(tmp_path, capsys, argv):
         ["boundary", "{cfg}", "--loss", "inf", "--mode", "asymptotic"],
         ["sweep", "{cfg}", "--loss-min", "0", "--loss-max", "6", "--steps", "3",
          "-o", "{missing}"],
+        ["simulate", "{cfg}", "--reps", "2", "--seed", "1", "-o", "{missing}"],
     ],
 )
 def test_bad_arguments_are_usage_errors(field_cfg, tmp_path, capsys, argv):
@@ -350,6 +375,16 @@ class TestSimulateCommand:
         assert lines[0] == "seed,n_z,m_z,n_x,m_x,key_length,rate"
         assert len(lines) == 6
 
+
+    def test_stdout_and_output_file_carry_the_same_bytes(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FIELD_CFG_TEXT.replace("block_size = 1e8", "block_size = 1e6"))
+        out = tmp_path / "sim.csv"
+        args = ["simulate", cfg, "--reps", "50", "--seed", "3"]
+        assert run(args) == 0
+        stdout = capsys.readouterr().out
+        assert run(args + ["-o", str(out)]) == 0
+        assert out.read_bytes() == stdout.encode()
+        assert stdout.count("\n") == 51 and stdout.endswith("\n")
 
     def test_empty_z_block_without_multi_photon_pulses(self, tmp_path, capsys):
         # With g2 = 0 and a one-detection block some trials draw no Z

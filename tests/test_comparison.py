@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyrates.asymptotic import EmptyCurve
 from keyrates.channel import ChannelDetectorModel
@@ -29,6 +31,7 @@ from keyrates.finite_key.comparison import (
     WCP_P_SIGNAL_GRID,
     WCP_RECEIVER_Z_RATIO,
     _golden_max,
+    _tune_sps,
     advantage_db,
 )
 from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec
@@ -287,3 +290,50 @@ class TestFiniteBoundary:
         channel = replace(FIELD_CHANNEL, channel_loss_db=25.0)
         with pytest.raises(EmptyCurve):
             finite_boundary(25.0, [0.01, 0.02], channel, FIELD_PROTO, FIELD_SEC)
+
+
+def _tuned_sps(channel=FIELD_CHANNEL, g2=FIELD_SOURCE.g2, loss=FIELD_CHANNEL.channel_loss_db):
+    """Tuned SPS rates of the field source, one per broadcast lane."""
+    n_mean = FIELD_SOURCE.mean_photon_number
+    return _tune_sps(n_mean, g2, loss, channel, FIELD_PROTO, FIELD_SEC)[0].tolist()
+
+
+def _non_increasing(rates):
+    return all(later <= earlier for earlier, later in zip(rates, rates[1:]))
+
+
+# Tuned-rate physics: whatever the tuner picks, a worse link or source
+# never yields more key. Loss and g2 run as lanes of one tuner call;
+# dark counts and misalignment are channel settings, one call each.
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=2, max_size=16))
+def test_tuned_sps_rate_does_not_rise_with_loss(losses):
+    assert _non_increasing(_tuned_sps(loss=sorted(losses)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=0.0, max_value=1.0 / FIELD_SOURCE.mean_photon_number),
+        min_size=2,
+        max_size=16,
+    )
+)
+def test_tuned_sps_rate_does_not_rise_with_g2(g2s):
+    assert _non_increasing(_tuned_sps(g2=sorted(g2s)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e5), min_size=2, max_size=4))
+def test_tuned_sps_rate_does_not_rise_with_dark_counts(rates_cps):
+    assert _non_increasing(
+        [_tuned_sps(replace(FIELD_CHANNEL, dark_count_rate_cps=r)) for r in sorted(rates_cps)]
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=0.15), min_size=2, max_size=4))
+def test_tuned_sps_rate_does_not_rise_with_misalignment(probs):
+    assert _non_increasing(
+        [_tuned_sps(replace(FIELD_CHANNEL, misalignment_prob=p)) for p in sorted(probs)]
+    )

@@ -119,11 +119,11 @@ class TestSpsKeyLength:
         assert report.key_length == 0.0
         assert report.phase_error_bound == 0.5
         with np.errstate(all="ignore"):
-            key_length, insufficient = _sps_key_lengths(
+            batch, insufficient = _sps_key_lengths(
                 1e6, *np.array([[0.0], [5.0], [0.0], [1.0]]), 0.0,
                 FIELD_PROTO.q_z_tx, FIELD_SEC, asymptotic,
             )
-        assert key_length.tolist() == [0.0]
+        assert batch.key_length.tolist() == [0.0]
         assert insufficient.tolist() == [False]
 
     def test_multi_photon_cap_exhausts_block(self):
