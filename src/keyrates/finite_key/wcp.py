@@ -107,7 +107,7 @@ def _wcp_expectation(mus, probs, q_z_tx, eta, p_dc, p_mis, proto: ProtocolConfig
     Z and X errors. Plain loops, as comprehensions cost more than the
     arithmetic on floats; the sums run in the order of ``sum``.
     """
-    exp = _ops(*mus, *probs, q_z_tx).exp
+    exp = _ops(*mus, *probs, q_z_tx, eta, p_dc, p_mis).exp
     q_sift_z = q_z_tx * proto.q_z_rx
     q_sift_x = (1.0 - q_z_tx) * (1.0 - proto.q_z_rx)
     gains = []
@@ -138,7 +138,7 @@ def _wcp_key_lengths(
     bound, or with a sampling-correction logarithm below one, where the
     report is meaningless. Array callers silence NumPy's warnings.
     """
-    ops = _ops(n_s, tau0, tau1, *mus, *probs)
+    ops = _ops(n_s, tau0, tau1, n_z, *n_zk, *n_xk, *m_zk, *m_xk, *mus, *probs)
     mu_s, mu_d = mus[0], mus[1]
     eps_1 = sec.eps_pe / WCP_CONCENTRATION_USES
     beta = math.log(1.0 / eps_1)

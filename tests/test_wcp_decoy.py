@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,13 @@ from keyrates.finite_key import (
     wcp_asymptotic_practical_rate,
     wcp_finite_key_rate,
 )
-from keyrates.finite_key.wcp import CONCENTRATIONS, _wcp_rates
+from keyrates.channel import dark_count_prob
+from keyrates.finite_key.wcp import (
+    CONCENTRATIONS,
+    _wcp_expectation,
+    _wcp_key_lengths,
+    _wcp_rates,
+)
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
 FIELD_SEC = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16)
@@ -167,3 +174,22 @@ def test_kernel_matches_scalar_path(
         expected = _scalar_rate(*point, channel, proto, sec, concentration)
         assert (got == 0.0) == (expected == 0.0), point
         assert abs(got - expected) <= tolerance, point
+
+
+@pytest.mark.parametrize("concentration", CONCENTRATIONS)
+def test_key_lengths_take_array_tallies_beside_scalar_parameters(concentration):
+    # Sampled tallies arrive as arrays while the intensities, the pulse
+    # count and the photon-number weights stay scalars.
+    mus = (INTENSITIES.mu_signal, INTENSITIES.mu_decoy, 0.0)
+    probs = (INTENSITIES.p_signal, INTENSITIES.p_decoy, INTENSITIES.p_vacuum)
+    n_s, tau0, tau1, *tallies = _wcp_expectation(
+        mus, probs, PROTO.q_z_tx, link_transmittance(FIELD_CHANNEL),
+        dark_count_prob(FIELD_CHANNEL), FIELD_CHANNEL.misalignment_prob, PROTO,
+    )
+    fixed = (mus, probs, tau0, tau1, PROTO.block_size, FIELD_SEC, concentration)
+    point, *point_masks = _wcp_key_lengths(n_s, *tallies, *fixed)
+    arrays = [[np.full(3, count) for count in counts] for counts in tallies]
+    batch, *batch_masks = _wcp_key_lengths(n_s, *arrays, *fixed)
+    assert point.rate_per_pulse > 0.0 and not any(point_masks)
+    assert batch.key_length.tolist() == pytest.approx([point.key_length] * 3, rel=1e-12)
+    assert not any(mask.any() for mask in batch_masks)
