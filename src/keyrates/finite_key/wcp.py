@@ -154,10 +154,11 @@ def _wcp_key_lengths(
         the basis, the trials over which each per-intensity tally (a
         count or an error count) is accumulated.
         """
-        delta = ops.sqrt(0.5 * basis_total * beta)
+        hoeffding = concentration == "hoeffding"
+        delta = ops.sqrt(0.5 * basis_total * beta) if hoeffding else None
         lower, upper = [], []
         for (sent, scale), n in zip(scales, counts):
-            if concentration == "hoeffding":
+            if hoeffding:
                 lo, up = ops.maximum(0.0, n - delta), n + delta
             else:
                 lo, up = _chernoff(n, beta, "lower", ops), _chernoff(n, beta, "upper", ops)
