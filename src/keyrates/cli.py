@@ -37,7 +37,7 @@ from .finite_key import (
 )
 from .finite_key.comparison import WCP_RECEIVER_Z_RATIO, advantage_db
 from .finite_key.core import _sps_lanes
-from .finite_key.wcp import _wcp_rates
+from .finite_key.wcp import _wcp_lanes
 from .montecarlo import TrialSpec, iter_trials
 from .optimizer import GASettings, SearchSpace, optimize
 from .photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
@@ -383,18 +383,17 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 return 0.0
 
         wcp_proto = replace(config.proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
+        lanes = _wcp_lanes(
+            config.channel.channel_loss_db, config.channel, wcp_proto, config.sec, "hoeffding"
+        )
 
         def score_population(columns: dict[str, np.ndarray]) -> np.ndarray:
-            return _wcp_rates(
+            return lanes(
                 columns["mu_signal"],
                 columns["mu_signal"] * columns["mu_decoy_fraction"],
                 columns["p_signal"],
                 columns["p_decoy"],
                 columns["q_z_tx"],
-                config.channel,
-                wcp_proto,
-                config.sec,
-                "hoeffding",
             )
 
     # Both scorers give exactly 0 wherever `objective` catches an exception.

@@ -11,6 +11,7 @@ the stochastic genetic optimiser lives in :mod:`keyrates.optimizer`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,13 +24,14 @@ from .core import (
     InsufficientBlock,
     ProtocolConfig,
     SecurityParams,
+    _ops,
     _sps_lanes,
     sps_expected_rate,
 )
 from .wcp import (
     DecoyInfeasible,
     WcpIntensities,
-    _wcp_rates,
+    _wcp_lanes,
     wcp_asymptotic_practical_rate,
     wcp_finite_key_rate,
 )
@@ -105,12 +107,13 @@ def _golden_max(f, lo: float, hi: float, iterations: int = 30) -> tuple[float, f
     return best, f(best)
 
 
-def _golden_max_lanes(f, lo: float, hi: float, shape, iterations: int = 30):
+def _golden_max_lanes(f, lo, hi, shape, iterations: int = 30):
     """``_golden_max`` for independent lanes searched in lockstep.
 
-    ``f`` maps an array of points of ``shape`` to their values; each
-    lane takes the same branches and returns the same point and value as
-    ``_golden_max`` would on that lane alone.
+    ``f`` maps an array of points of ``shape`` to their values, and the
+    bounds ``lo`` and ``hi`` are shared or per lane (broadcast to
+    ``shape``). Each lane takes the same branches and returns the same
+    point and value as ``_golden_max`` would on that lane alone.
     """
     a, b = np.full(shape, lo), np.full(shape, hi)
     c = b - GOLDEN * (b - a)
@@ -212,6 +215,113 @@ def optimized_sps_rate(
     return float(rate), replace(proto, q_z_tx=float(q_tx), pre_attenuation=float(t))
 
 
+def _wcp_rate_or_zero(
+    q_tx, mu_s, mu_d, p_s, share, channel, proto, sec, concentration
+) -> float:
+    """Scalar WCP rate at a tuner point, 0 where the tuner or the pipeline rejects it.
+
+    ``share`` is the decoy's share of the non-signal probability.
+    """
+    if not 0.0 < mu_d < mu_s or not 0.0 < p_s < 1.0 or not 0.0 < share < 1.0:
+        return 0.0
+    cfg = replace(proto, q_z_tx=q_tx)
+    try:
+        ints = WcpIntensities(mu_s, mu_d, p_s, (1.0 - p_s) * share)
+        return wcp_finite_key_rate(ints, channel, cfg, sec, concentration).rate_per_pulse
+    except ValueError:  # DecoyInfeasible included
+        return 0.0
+
+
+@functools.cache
+def _wcp_seed_grid() -> tuple[list[tuple[float, ...]], tuple[np.ndarray, ...]]:
+    """The (q_tx, mu_s, mu_d, p_s, share) seed grid of the WCP tuner, as rows and as columns.
+
+    Every point passes the guard of ``_wcp_rate_or_zero``, so the kernel
+    scores the same rates as a per-point scan would. Built on first use,
+    which keeps it out of the import of commands that tune no WCP side.
+    """
+    rows = [
+        (q_tx, mu_s, mu_d, p_s, share)
+        for q_tx in Q_TX_GRID
+        for mu_s in WCP_MU_SIGNAL_GRID
+        for mu_d in WCP_MU_DECOY_GRID
+        if mu_d < mu_s
+        for p_s in WCP_P_SIGNAL_GRID
+        for share in WCP_P_DECOY_SHARE_GRID
+    ]
+    return rows, tuple(np.array(column) for column in zip(*rows))
+
+
+def _wcp_seed(loss_db: float, channel, proto, sec, concentration) -> tuple:
+    """The first best point of the seed grid at one loss, in one kernel call."""
+    rows, (q_tx, mu_s, mu_d, p_s, share) = _wcp_seed_grid()
+    lanes = _wcp_lanes(loss_db, channel, proto, sec, concentration)
+    return rows[int(np.argmax(lanes(mu_s, mu_d, p_s, (1.0 - p_s) * share, q_tx)))]
+
+
+def _refine_wcp(rate_at, golden, q_tx, mu_s, mu_d, p_s, share):
+    """The WCP tuner's coordinate-wise golden refinement from a seed point.
+
+    Runs on floats with ``golden = _golden_max`` or on lanes with
+    ``_golden_max_lanes``; ``rate_at`` scores ``(q_tx, mu_s, mu_d, p_s,
+    share)`` the same way. Returns the rate of the last search and the
+    refined ``(mu_s, mu_d, p_s, share)``.
+    """
+    minimum = _ops(mu_d).minimum  # min, or np.minimum on lanes
+    for _ in range(2):
+        mu_s, _ = golden(lambda v: rate_at(q_tx, v, minimum(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
+        mu_d, _ = golden(lambda v: rate_at(q_tx, mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
+        p_s, _ = golden(lambda v: rate_at(q_tx, mu_s, mu_d, v, share), 0.05, 0.98, 20)
+        share, rate = golden(lambda v: rate_at(q_tx, mu_s, mu_d, p_s, v), 0.02, 0.98, 20)
+    return rate, mu_s, mu_d, p_s, share
+
+
+def _wcp_result(rate: float, mu_s: float, mu_d: float, p_s: float, share: float):
+    """The tuner's rate and intensities at a refined point."""
+    return max(rate, 0.0), WcpIntensities(mu_s, mu_d, p_s, (1.0 - p_s) * share)
+
+
+def _tune_wcp(
+    loss_db,
+    channel: ChannelDetectorModel,
+    proto: ProtocolConfig,
+    sec: SecurityParams,
+    concentration: str = "hoeffding",
+) -> list[tuple[float, WcpIntensities, float]]:
+    """Finite-mode ``optimized_wcp_rate`` for a sequence of losses at once.
+
+    Each loss scores the seed grid in its own ``_wcp_lanes`` call, which
+    keeps one grid in memory at a time. The refinement then runs for
+    every loss in lockstep on ``_golden_max_lanes``, and each lane's
+    winner is scored again by the float path. Returns one ``(rate,
+    intensities, q_z_tx)`` per loss, each exactly as
+    ``optimized_wcp_rate`` returns it for that loss alone.
+    """
+    proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
+    losses = np.asarray(loss_db, dtype=float)
+    seeds = [_wcp_seed(loss, channel, proto, sec, concentration) for loss in losses.tolist()]
+    lanes = _wcp_lanes(losses, channel, proto, sec, concentration)
+
+    def rate_at(q_tx, mu_s, mu_d, p_s, share) -> np.ndarray:
+        # The guard of ``_wcp_rate_or_zero``.
+        inside = (
+            (0.0 < mu_d) & (mu_d < mu_s) & (0.0 < p_s) & (p_s < 1.0) & (0.0 < share) & (share < 1.0)
+        )
+        return np.where(inside, lanes(mu_s, mu_d, p_s, (1.0 - p_s) * share, q_tx), 0.0)
+
+    def golden(f, lo, hi, iterations):
+        return _golden_max_lanes(f, lo, hi, losses.shape, iterations)
+
+    q_tx, *seed = (np.array(column, dtype=float) for column in zip(*seeds))
+    _, *point = _refine_wcp(rate_at, golden, q_tx, *seed)
+    tuned = []
+    for loss, q, *lane in zip(losses.tolist(), q_tx.tolist(), *(a.tolist() for a in point)):
+        ch = replace(channel, channel_loss_db=loss)
+        rate = _wcp_rate_or_zero(q, *lane, ch, proto, sec, concentration)
+        tuned.append((*_wcp_result(rate, *lane), q))
+    return tuned
+
+
 def optimized_wcp_rate(
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
@@ -229,13 +339,11 @@ def optimized_wcp_rate(
     receiver's 9:1 optics.
 
     In finite mode the whole grid is scored in one array call
-    (``_wcp_rates``) and its first best point seeds the refinement,
+    (``_wcp_lanes``) and its first best point seeds the refinement,
     which evaluates ``wcp_finite_key_rate`` one point at a time on
-    floats; the returned rate and parameters come from that path.
+    floats; ``_tune_wcp`` runs the same refinement for many losses at
+    once.
     """
-    if not asymptotic:
-        proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
-
     if asymptotic:
         best = (-1.0, 1.0, proto.q_z_tx)
         for q_tx in Q_TX_GRID:
@@ -249,41 +357,14 @@ def optimized_wcp_rate(
         intensities = WcpIntensities(mu_signal=mu, mu_decoy=mu / 2.0, p_signal=1.0, p_decoy=0.0)
         return max(rate, 0.0), intensities, replace(proto, q_z_tx=q_tx)
 
-    def rate_at(q_tx: float, mu_s: float, mu_d: float, p_s: float, share: float) -> float:
-        if not 0.0 < mu_d < mu_s or not 0.0 < p_s < 1.0 or not 0.0 < share < 1.0:
-            return 0.0
-        p_d = (1.0 - p_s) * share
-        cfg = replace(proto, q_z_tx=q_tx)
-        try:
-            ints = WcpIntensities(mu_s, mu_d, p_s, p_d)
-            return wcp_finite_key_rate(ints, channel, cfg, sec, concentration).rate_per_pulse
-        except (DecoyInfeasible, ValueError):
-            return 0.0
+    proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
 
-    # Every grid point passes the guard of rate_at, so the kernel scores
-    # the same rates as the per-point scan would.
-    grid = [
-        (q_tx, mu_s, mu_d, p_s, share)
-        for q_tx in Q_TX_GRID
-        for mu_s in WCP_MU_SIGNAL_GRID
-        for mu_d in WCP_MU_DECOY_GRID
-        if mu_d < mu_s
-        for p_s in WCP_P_SIGNAL_GRID
-        for share in WCP_P_DECOY_SHARE_GRID
-    ]
-    q_g, mu_s_g, mu_d_g, p_s_g, share_g = (np.array(column) for column in zip(*grid))
-    scores = _wcp_rates(
-        mu_s_g, mu_d_g, p_s_g, (1.0 - p_s_g) * share_g, q_g, channel, proto, sec, concentration
-    )
-    q_tx, mu_s, mu_d, p_s, share = grid[int(np.argmax(scores))]
-    for _ in range(2):
-        mu_s, _ = _golden_max(lambda v: rate_at(q_tx, v, min(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
-        mu_d, _ = _golden_max(lambda v: rate_at(q_tx, mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
-        p_s, _ = _golden_max(lambda v: rate_at(q_tx, mu_s, mu_d, v, share), 0.05, 0.98, 20)
-        share, best_rate = _golden_max(lambda v: rate_at(q_tx, mu_s, mu_d, p_s, v), 0.02, 0.98, 20)
-    p_d = (1.0 - p_s) * share
-    intensities = WcpIntensities(mu_s, mu_d, p_s, p_d)
-    return max(best_rate, 0.0), intensities, replace(proto, q_z_tx=q_tx)
+    def rate_at(*point) -> float:
+        return _wcp_rate_or_zero(*point, channel, proto, sec, concentration)
+
+    q_tx, *seed = _wcp_seed(channel.channel_loss_db, channel, proto, sec, concentration)
+    rate, intensities = _wcp_result(*_refine_wcp(rate_at, _golden_max, q_tx, *seed))
+    return rate, intensities, replace(proto, q_z_tx=q_tx)
 
 
 def compare(
@@ -298,22 +379,20 @@ def compare(
     The advantage is evaluated at the configured channel loss; the
     crossover is located by scanning losses up to
     ``CROSSOVER_SCAN_MAX_DB`` and bisecting the sign change of the rate
-    ratio. Raises ``NoCrossover`` when the SPS never leads on the scan.
+    margin ``r_sps - r_wcp``. Where the margin falls from > 0 to <= 0
+    between scan steps more than once, the last such bracket is
+    bisected. Raises ``NoCrossover`` when the SPS never leads on the
+    scan, or leads at its end.
     """
-
-    def wcp_at(loss_db: float) -> float:
-        ch = replace(channel, channel_loss_db=loss_db)
-        return optimized_wcp_rate(ch, proto, sec, concentration=concentration)[0]
-
     steps = int(CROSSOVER_SCAN_MAX_DB / CROSSOVER_SCAN_STEP_DB)
     losses = [i * CROSSOVER_SCAN_STEP_DB for i in range(steps + 1)]
-    # The configured loss and the whole scan tune their SPS side in one call.
+    # The configured loss and the whole scan tune each side in one call.
     n_mean, g2 = _sps_parameters(source)
-    r_sps, *scan_sps = _tune_sps(
-        n_mean, g2, [channel.channel_loss_db, *losses], channel, proto, sec
-    )[0].tolist()
-    r_wcp = wcp_at(channel.channel_loss_db)
-    scan = tuple((loss, s, wcp_at(loss)) for loss, s in zip(losses, scan_sps))
+    tuned_losses = [channel.channel_loss_db, *losses]
+    r_sps, *scan_sps = _tune_sps(n_mean, g2, tuned_losses, channel, proto, sec)[0].tolist()
+    tuned_wcp = _tune_wcp(tuned_losses, channel, proto, sec, concentration)
+    r_wcp, *scan_wcp = [rate for rate, _, _ in tuned_wcp]
+    scan = tuple(zip(losses, scan_sps, scan_wcp))
     margins = [s - w for _, s, w in scan]
     if max(margins) <= 0.0:
         raise NoCrossover(
@@ -326,10 +405,13 @@ def compare(
     if bracket is None:
         raise NoCrossover("SPS advantage persists across the whole scanned range")
     lo, hi = bracket
+    # One loss per step, tuned on floats: a one-lane array tuner call
+    # costs several float calls.
     for _ in range(14):
         mid = 0.5 * (lo + hi)
-        s, _ = optimized_sps_rate(source, replace(channel, channel_loss_db=mid), proto, sec)
-        if s - wcp_at(mid) > 0.0:
+        ch = replace(channel, channel_loss_db=mid)
+        s, _ = optimized_sps_rate(source, ch, proto, sec)
+        if s - optimized_wcp_rate(ch, proto, sec, concentration=concentration)[0] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -355,16 +437,16 @@ def sweep_rates(
 ) -> list[tuple[float, float, float, float]]:
     """Optimised (loss, r_sps, r_wcp, advantage) rows for a loss sweep.
 
-    The SPS side of every loss is tuned in one ``_tune_sps`` call.
+    Each side of every loss is tuned in one call, ``_tune_sps`` and
+    ``_tune_wcp``.
     """
     n_mean, g2 = _sps_parameters(source)
     sps_rates = _tune_sps(n_mean, g2, losses, channel, proto, sec)[0].tolist()
-    rows = []
-    for loss, r_sps in zip(losses, sps_rates):
-        ch = replace(channel, channel_loss_db=loss)
-        r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec, concentration=concentration)
-        rows.append((loss, r_sps, r_wcp, advantage_db(r_sps, r_wcp)))
-    return rows
+    wcp_rates = [rate for rate, _, _ in _tune_wcp(losses, channel, proto, sec, concentration)]
+    return [
+        (loss, r_sps, r_wcp, advantage_db(r_sps, r_wcp))
+        for loss, r_sps, r_wcp in zip(losses, sps_rates, wcp_rates)
+    ]
 
 
 def finite_boundary(

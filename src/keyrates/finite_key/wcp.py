@@ -21,7 +21,7 @@ multiplicative inversions of :mod:`keyrates.finite_key.core` instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,8 +65,13 @@ class WcpIntensities:
                 f"need mu_signal > mu_decoy > 0, got "
                 f"({self.mu_signal}, {self.mu_decoy})"
             )
-        if min(self.p_signal, self.p_decoy) < 0 or self.p_signal + self.p_decoy > 1.0:
-            raise ValueError("intensity probabilities must be a sub-simplex")
+        # The vacuum probability as ``p_vacuum`` computes it: a sum that
+        # rounds to 1 can still leave it just below 0.
+        if min(self.p_signal, self.p_decoy) < 0 or self.p_vacuum < 0:
+            raise ValueError(
+                f"intensity probabilities must be a sub-simplex, got p_signal = "
+                f"{self.p_signal!r}, p_decoy = {self.p_decoy!r}, p_vacuum = {self.p_vacuum!r}"
+            )
 
     @property
     def p_vacuum(self) -> float:
@@ -212,13 +217,15 @@ def _wcp_key_lengths(
     return report, no_gain, infeasible, corrected & (log_arg < 1.0)
 
 
-def _wcp_distil(mu_s, mu_d, p_s, p_d, q_z_tx, channel, proto, sec, concentration):
-    """``_wcp_key_lengths`` of the ``_wcp_expectation`` of one or more points."""
+def _wcp_distil(mu_s, mu_d, p_s, p_d, q_z_tx, eta, channel, proto, sec, concentration):
+    """``_wcp_key_lengths`` of the ``_wcp_expectation`` of one or more points.
+
+    ``eta`` is the link transmittance; the detector terms come from ``channel``.
+    """
     mus = (mu_s, mu_d, 0.0)
     probs = (p_s, p_d, 1.0 - p_s - p_d)
-    eta, p_dc = link_transmittance(channel), dark_count_prob(channel)
     n_s, tau0, tau1, *tallies = _wcp_expectation(
-        mus, probs, q_z_tx, eta, p_dc, channel.misalignment_prob, proto
+        mus, probs, q_z_tx, eta, dark_count_prob(channel), channel.misalignment_prob, proto
     )
     return _wcp_key_lengths(
         n_s, *tallies, mus, probs, tau0, tau1, proto.block_size, sec, concentration
@@ -243,7 +250,7 @@ def wcp_finite_key_rate(
     i = intensities
     parameters = (i.mu_signal, i.mu_decoy, i.p_signal, i.p_decoy, proto.q_z_tx)
     report, no_gain, infeasible, short_log = _float_or_numpy(
-        _wcp_distil, (*parameters, channel, proto, sec, concentration)
+        _wcp_distil, (*parameters, link_transmittance(channel), channel, proto, sec, concentration)
     )
     if no_gain:
         raise DecoyInfeasible("zero gain: no detections expected")
@@ -254,39 +261,48 @@ def wcp_finite_key_rate(
     return report
 
 
-def _wcp_rates(
-    mu_s,
-    mu_d,
-    p_s,
-    p_d,
-    q_z_tx,
+def _wcp_lanes(
+    loss_db,
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
     sec: SecurityParams,
     concentration: str,
-) -> np.ndarray:
-    """``wcp_finite_key_rate(...).rate_per_pulse`` over broadcast parameter arrays.
+):
+    """``wcp_finite_key_rate(...).rate_per_pulse`` over broadcast lanes.
 
-    Element i scores ``WcpIntensities(mu_s[i], mu_d[i], p_s[i], p_d[i])``
-    under ``replace(proto, q_z_tx=q_z_tx[i])`` with the same distiller,
-    and is exactly 0 wherever the scalar path raises.
+    Returns ``rates(mu_s, mu_d, p_s, p_d, q_z_tx)``. Element i of its
+    result scores ``WcpIntensities(mu_s[i], mu_d[i], p_s[i], p_d[i])``
+    on ``replace(channel, channel_loss_db=loss_db[i])`` under
+    ``replace(proto, q_z_tx=q_z_tx[i])`` with the same distiller, and is
+    exactly 0 wherever the scalar path raises. The transmittance of each
+    distinct loss comes from the scalar formula, once, so a search that
+    scores many points per lane builds the lanes once.
     """
     if concentration not in CONCENTRATIONS:
         raise ValueError(f"concentration must be one of {CONCENTRATIONS}")
-    mu_s, mu_d, p_s, p_d, q_z_tx = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (mu_s, mu_d, p_s, p_d, q_z_tx))
-    )
-    with np.errstate(all="ignore"):
-        report, no_gain, infeasible, short_log = _wcp_distil(
-            mu_s, mu_d, p_s, p_d, q_z_tx, channel, proto, sec, concentration
+    loss_db = np.asarray(loss_db, dtype=float)
+    losses, index = np.unique(loss_db.ravel(), return_inverse=True)
+    eta = np.array(
+        [link_transmittance(replace(channel, channel_loss_db=loss)) for loss in losses.tolist()]
+    )[index].reshape(loss_db.shape)
+
+    def rates(mu_s, mu_d, p_s, p_d, q_z_tx) -> np.ndarray:
+        mu_s, mu_d, p_s, p_d, q_z_tx = np.broadcast_arrays(
+            *(np.asarray(a, dtype=float) for a in (mu_s, mu_d, p_s, p_d, q_z_tx))
         )
-    valid = (
-        (0.0 < mu_d) & (mu_d < mu_s)
-        & (p_s >= 0.0) & (p_d >= 0.0) & (p_s + p_d <= 1.0)
-        & (0.0 < q_z_tx) & (q_z_tx < 1.0)
-        & ~(no_gain | infeasible | short_log)
-    )
-    return np.where(valid, report.rate_per_pulse, 0.0)
+        with np.errstate(all="ignore"):
+            report, no_gain, infeasible, short_log = _wcp_distil(
+                mu_s, mu_d, p_s, p_d, q_z_tx, eta, channel, proto, sec, concentration
+            )
+        valid = (
+            (0.0 < mu_d) & (mu_d < mu_s)
+            & (p_s >= 0.0) & (p_d >= 0.0) & (1.0 - p_s - p_d >= 0.0)
+            & (0.0 < q_z_tx) & (q_z_tx < 1.0)
+            & ~(no_gain | infeasible | short_log)
+        )
+        return np.where(valid, report.rate_per_pulse, 0.0)
+
+    return rates
 
 
 def wcp_asymptotic_practical_rate(

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,9 +32,12 @@ from keyrates.finite_key.comparison import (
     WCP_P_SIGNAL_GRID,
     WCP_RECEIVER_Z_RATIO,
     _golden_max,
+    _golden_max_lanes,
     _tune_sps,
+    _tune_wcp,
     advantage_db,
 )
+from keyrates.finite_key import comparison
 from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
@@ -110,11 +114,67 @@ class TestOptimizedRates:
         ]
         assert [row[1] for row in rows] == single
 
+    @pytest.mark.parametrize("concentration", ["hoeffding", "chernoff"])
+    def test_wcp_lane_tuner_matches_single_loss_tuner(self, concentration):
+        # At 50 dB every grid point scores 0 and the first one must win.
+        losses = [0.0, 14.6, 30.0, 50.0]
+        tuned = _tune_wcp(losses, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, concentration)
+        assert tuned == _single_loss_wcp(FIELD_CHANNEL, FIELD_PROTO, losses, concentration)
+        assert tuned[-1][0] == 0.0 and tuned[0][0] > 0.0
+
     def test_sps_tuner_rejects_wcp_source(self):
         with pytest.raises(ValueError):
             optimized_sps_rate(
                 SourceSpec(SourceKind.WCP, 0.5), FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC
             )
+
+
+def _single_loss_wcp(channel, proto, losses, concentration):
+    """``(rate, intensities, q_z_tx)`` of one float ``optimized_wcp_rate`` call per loss."""
+    tuned = []
+    for loss in losses:
+        ch = replace(channel, channel_loss_db=loss)
+        rate, intensities, cfg = optimized_wcp_rate(ch, proto, FIELD_SEC, False, concentration)
+        tuned.append((rate, intensities, cfg.q_z_tx))
+    return tuned
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    concentration=st.sampled_from(["hoeffding", "chernoff"]),
+    dark_count_rate=st.floats(min_value=0.0, max_value=4.3e4),
+    misalignment=st.floats(min_value=0.0, max_value=0.05),
+    log_block=st.floats(min_value=4.0, max_value=12.0),
+    losses=st.lists(st.floats(min_value=0.0, max_value=40.0), min_size=1, max_size=4),
+)
+def test_wcp_lane_tuner_matches_single_loss_tuner_on_any_link(
+    concentration, dark_count_rate, misalignment, log_block, losses
+):
+    channel = replace(
+        FIELD_CHANNEL, dark_count_rate_cps=dark_count_rate, misalignment_prob=misalignment
+    )
+    proto = replace(FIELD_PROTO, block_size=10.0**log_block)
+    tuned = _tune_wcp(losses, channel, proto, FIELD_SEC, concentration)
+    assert tuned == _single_loss_wcp(channel, proto, losses, concentration)
+
+
+def test_golden_lanes_with_per_lane_bounds_match_single_searches():
+    # Peaks inside, at and outside the bounds, and a plateau whose ties
+    # take the ``fc >= fd`` branch.
+    peaks = np.array([0.3, 0.05, 2.0, -1.0, 0.5])
+    lo = np.array([0.0, 0.05, 0.1, 0.0, 0.2])
+    hi = np.array([1.0, 0.5, 0.95, 0.4, 0.9])
+    caps = np.array([np.inf, np.inf, np.inf, np.inf, -0.01])
+
+    def lanes(x):
+        return np.minimum(-((x - peaks) ** 2), caps)
+
+    best, value = _golden_max_lanes(lanes, lo, hi, peaks.shape, 20)
+    for i in range(peaks.size):
+        alone = _golden_max(
+            lambda x: min(-((x - peaks[i]) ** 2), caps[i]), float(lo[i]), float(hi[i]), 20
+        )
+        assert (best[i], value[i]) == alone
 
 
 def _scalar_sps_rate(source, channel, proto, sec, asymptotic):
@@ -227,6 +287,34 @@ class TestCompare:
         swept = sweep_rates(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, [0.0, 17.0])
         assert [report.scan[0], report.scan[17]] == [row[:3] for row in swept]
 
+    def test_last_down_crossing_is_bisected(self, monkeypatch):
+        # A synthetic margin r_sps - r_wcp that falls through 0 at 5.3 dB
+        # and again at 20.7 dB, rising in between.
+        def sps(loss):
+            return 1.0 - (loss - 5.3) * (loss - 11.6) * (loss - 20.7) * 1e-3
+
+        probes = []
+
+        def optimized_sps(source, channel, proto, sec):
+            probes.append(channel.channel_loss_db)
+            return sps(channel.channel_loss_db), proto
+
+        def tune_sps(n_mean, g2, losses, *rest):
+            return (np.array([sps(loss) for loss in losses]),)
+
+        monkeypatch.setattr(comparison, "_tune_sps", tune_sps)
+        monkeypatch.setattr(
+            comparison, "_tune_wcp", lambda losses, *rest: [(1.0, None, 0.9) for _ in losses]
+        )
+        monkeypatch.setattr(comparison, "optimized_sps_rate", optimized_sps)
+        monkeypatch.setattr(comparison, "optimized_wcp_rate", lambda *a, **k: (1.0, None, None))
+        report = compare(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        margins = [s - w for _, s, w in report.scan]
+        falls = [i for i in range(len(margins) - 1) if margins[i] > 0.0 >= margins[i + 1]]
+        assert falls == [5, 20]
+        assert len(probes) == 14 and all(20.0 < loss < 21.0 for loss in probes)
+        assert report.crossover_loss_db == pytest.approx(20.7, abs=2.0**-14)
+
     def test_no_crossover_for_weak_source(self):
         source = SourceSpec(SourceKind.SPS, 0.05, 0.5)
         with pytest.raises(NoCrossover):
@@ -337,3 +425,43 @@ def test_tuned_sps_rate_does_not_rise_with_misalignment(probs):
     assert _non_increasing(
         [_tuned_sps(replace(FIELD_CHANNEL, misalignment_prob=p)) for p in sorted(probs)]
     )
+
+
+def _tuned_wcp(losses, channel=FIELD_CHANNEL, concentration="hoeffding"):
+    """Tuned WCP rates on ``channel``, one lane per loss."""
+    tuned = _tune_wcp(losses, channel, FIELD_PROTO, FIELD_SEC, concentration)
+    return [rate for rate, _, _ in tuned]
+
+
+_CONCENTRATION = st.sampled_from(["hoeffding", "chernoff"])
+
+
+# The same physics for the tuned WCP comparator. Loss runs as lanes of one
+# tuner call; each dark-count rate or misalignment is one call, with a
+# lane per loss, and every lane must not rise with it.
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=2, max_size=16), _CONCENTRATION
+)
+def test_tuned_wcp_rate_does_not_rise_with_loss(losses, concentration):
+    assert _non_increasing(_tuned_wcp(sorted(losses), concentration=concentration))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=5e4), min_size=2, max_size=4), _CONCENTRATION)
+def test_tuned_wcp_rate_does_not_rise_with_dark_counts(rates_cps, concentration):
+    tuned = [
+        _tuned_wcp((0.0, 14.6, 30.0), replace(FIELD_CHANNEL, dark_count_rate_cps=r), concentration)
+        for r in sorted(rates_cps)
+    ]
+    assert all(_non_increasing(lane) for lane in zip(*tuned))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=0.1), min_size=2, max_size=4), _CONCENTRATION)
+def test_tuned_wcp_rate_does_not_rise_with_misalignment(probs, concentration):
+    tuned = [
+        _tuned_wcp((0.0, 14.6, 30.0), replace(FIELD_CHANNEL, misalignment_prob=p), concentration)
+        for p in sorted(probs)
+    ]
+    assert all(_non_increasing(lane) for lane in zip(*tuned))

@@ -23,13 +23,19 @@ from keyrates.finite_key.wcp import (
     CONCENTRATIONS,
     _wcp_expectation,
     _wcp_key_lengths,
-    _wcp_rates,
+    _wcp_lanes,
 )
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
 FIELD_SEC = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16)
 PROTO = ProtocolConfig(q_z_tx=0.9, q_z_rx=0.5, block_size=1e8)
 INTENSITIES = WcpIntensities(mu_signal=0.5, mu_decoy=0.15, p_signal=0.7, p_decoy=0.2)
+
+
+def _field_lanes():
+    """The WCP kernel at the field channel's loss."""
+    loss = FIELD_CHANNEL.channel_loss_db
+    return _wcp_lanes(loss, FIELD_CHANNEL, PROTO, FIELD_SEC, "hoeffding")
 
 
 class TestIntensities:
@@ -43,6 +49,24 @@ class TestIntensities:
     def test_simplex_enforced(self):
         with pytest.raises(ValueError):
             WcpIntensities(mu_signal=0.5, mu_decoy=0.1, p_signal=0.8, p_decoy=0.3)
+
+    # Each sum rounds to 1.0, but the vacuum probability as computed is
+    # -6.9e-18 or -5.6e-17.
+    @pytest.mark.parametrize("p_signal, p_decoy", [(0.9999999999999999, 1.18e-16), (0.8, 0.2)])
+    def test_vacuum_probability_below_zero_is_rejected(self, p_signal, p_decoy):
+        assert p_signal + p_decoy == 1.0 and 1.0 - p_signal - p_decoy < 0.0
+        with pytest.raises(ValueError, match="sub-simplex"):
+            WcpIntensities(mu_signal=0.5, mu_decoy=0.15, p_signal=p_signal, p_decoy=p_decoy)
+        lanes = _field_lanes()
+        assert lanes(0.5, 0.15, p_signal, p_decoy, PROTO.q_z_tx) == 0.0
+
+    def test_vacuum_probability_of_exactly_zero_is_kept(self):
+        intensities = WcpIntensities(mu_signal=0.5, mu_decoy=0.15, p_signal=0.8, p_decoy=1.0 - 0.8)
+        assert intensities.p_vacuum == 0.0
+        rate = wcp_finite_key_rate(intensities, FIELD_CHANNEL, PROTO, FIELD_SEC).rate_per_pulse
+        lanes = _field_lanes()
+        assert lanes(0.5, 0.15, 0.8, 1.0 - 0.8, PROTO.q_z_tx) == pytest.approx(rate, rel=1e-12)
+        assert rate > 0.0
 
 
 class TestAsymptoticMode:
@@ -168,7 +192,7 @@ def test_kernel_matches_scalar_path(
         (mu_s, mu_d, p_s, (1.0 - p_s) * share, q)
         for mu_s, mu_d, p_s, share, q in points
     ]
-    kernel = _wcp_rates(*zip(*columns), channel, proto, sec, concentration)
+    kernel = _wcp_lanes(loss_db, channel, proto, sec, concentration)(*zip(*columns))
     tolerance = 1e-10 * link_transmittance(channel) / math.e
     for point, got in zip(columns, kernel):
         expected = _scalar_rate(*point, channel, proto, sec, concentration)
