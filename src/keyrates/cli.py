@@ -16,6 +16,7 @@ import argparse
 import importlib.resources
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from .finite_key import (
 from .finite_key.comparison import WCP_RECEIVER_Z_RATIO, advantage_db
 from .finite_key.core import _sps_lanes
 from .finite_key.wcp import _wcp_lanes
-from .montecarlo import TrialSpec, iter_trials
+from .montecarlo import TooManyPulses, TrialSpec, _trial_arrays
 from .optimizer import GASettings, SearchSpace, optimize
 from .photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 
@@ -234,7 +235,7 @@ def bundled_field_config() -> str:
     return str(importlib.resources.files("keyrates.data") / "field.cfg")
 
 
-def _emit(lines: list[str], output: str | None) -> None:
+def _emit(lines: Iterable[str], output: str | None) -> None:
     """Write one line per entry, without joining them into one string."""
     if output:
         try:
@@ -406,6 +407,30 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+# Trials per block of `simulate` CSV lines.
+_SIMULATE_BLOCK = 4096
+
+
+def _simulate_lines(seed: int, draws: np.ndarray, key_length: np.ndarray, rate: np.ndarray):
+    """``simulate``'s CSV lines, formatted from column lists one block of
+    trials at a time, so no Python copy of every trial is held."""
+    yield "seed,n_z,m_z,n_x,m_x,key_length,rate"
+    for start in range(0, len(draws), _SIMULATE_BLOCK):
+        block = slice(start, start + _SIMULATE_BLOCK)
+        n_z, n_x, m_z, m_x = draws[block].T.tolist()
+        columns = zip(
+            range(seed + start, seed + start + len(n_z)),
+            n_z,
+            m_z,
+            n_x,
+            m_x,
+            key_length[block].tolist(),
+            rate[block].tolist(),
+        )
+        for trial_seed, nz, mz, nx, mx, key, r in columns:
+            yield f"{trial_seed},{nz},{mz},{nx},{mx},{_fmt(key)},{_fmt(r)}"
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     _require_sps(config, "simulate")
@@ -417,24 +442,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         repetitions=args.reps,
     )
-    lines = ["seed,n_z,m_z,n_x,m_x,key_length,rate"]
-    rates = []
-    failures = 0
-    for index, (tallies, key_length, rate) in enumerate(iter_trials(spec)):
-        if math.isnan(rate):
-            failures += 1
-            key_length, rate = 0.0, 0.0
-        else:
-            rates.append(rate)
-        lines.append(
-            f"{args.seed + index},{int(tallies.z_detections)},{int(tallies.z_errors)},"
-            f"{int(tallies.x_detections)},{int(tallies.x_errors)},"
-            f"{_fmt(key_length)},{_fmt(rate)}"
-        )
-    _emit(lines, args.output)
+    _, draws, key_length, rate = _trial_arrays(spec)
+    failed = np.isnan(rate)
+    _emit(
+        _simulate_lines(
+            args.seed, draws, np.where(failed, 0.0, key_length), np.where(failed, 0.0, rate)
+        ),
+        args.output,
+    )
+    rates = rate[~failed].tolist()
     mean = sum(rates) / len(rates) if rates else 0.0
     print(f"# mean_rate = {_fmt(mean)}", file=sys.stderr)
-    print(f"# failures = {failures}", file=sys.stderr)
+    print(f"# failures = {int(failed.sum())}", file=sys.stderr)
     return 0
 
 
@@ -473,19 +492,27 @@ def _loss_db(text: str) -> float:
     return value
 
 
-def _int_at_least(minimum: int):
-    """Argparse type accepting integers >= ``minimum``."""
+def _int_in_range(minimum: int, maximum: float = math.inf):
+    """Argparse type accepting integers from ``minimum`` to ``maximum``."""
+    bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        if not minimum <= value <= maximum:
+            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {text!r}")
         return value
 
     return parse
+
+
+# Caps on the arguments that size arrays or lists, so that an oversized
+# value is a usage error rather than a failed allocation.
+MAX_REPS = 1_000_000
+MAX_POPULATION = 10_000
+MAX_POINTS = 10_000  # sweep --steps, boundary --grid-points
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config")
     p_sweep.add_argument("--loss-min", type=_loss_db, required=True)
     p_sweep.add_argument("--loss-max", type=_loss_db, required=True)
-    p_sweep.add_argument("--steps", type=_int_at_least(2), required=True)
+    p_sweep.add_argument("--steps", type=_int_in_range(2, MAX_POINTS), required=True)
     p_sweep.add_argument("--output", "-o", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -513,24 +540,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_boundary.add_argument("--mode", choices=("asymptotic", "finite"), required=True)
     p_boundary.add_argument("--grid-min", type=_positive_float, default=0.05)
     p_boundary.add_argument("--grid-max", type=_positive_float, default=1.2)
-    p_boundary.add_argument("--grid-points", type=_int_at_least(2), default=25)
+    p_boundary.add_argument("--grid-points", type=_int_in_range(2, MAX_POINTS), default=25)
     p_boundary.add_argument("--output", "-o", default=None)
     p_boundary.set_defaults(func=_cmd_boundary)
 
     p_opt = sub.add_parser("optimize", help="genetic-algorithm parameter search")
     p_opt.add_argument("config")
     p_opt.add_argument("--target", choices=("sps", "wcp"), default="sps")
-    p_opt.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_opt.add_argument("--seed", type=_int_in_range(0), default=0)
     p_opt.add_argument(
-        "--population", type=_int_at_least(GASettings.elite_count + 2), default=50
+        "--population",
+        type=_int_in_range(GASettings.elite_count + 2, MAX_POPULATION),
+        default=50,
     )
-    p_opt.add_argument("--generations", type=_int_at_least(0), default=200)
+    p_opt.add_argument("--generations", type=_int_in_range(0), default=200)
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo tally sampling")
     p_sim.add_argument("config")
-    p_sim.add_argument("--reps", type=_int_at_least(1), required=True)
-    p_sim.add_argument("--seed", type=_int_at_least(0), required=True)
+    p_sim.add_argument("--reps", type=_int_in_range(1, MAX_REPS), required=True)
+    p_sim.add_argument("--seed", type=_int_in_range(0), required=True)
     p_sim.add_argument("--output", "-o", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -558,8 +587,10 @@ def run(argv: list[str]) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UndefinedG2, NonPhysicalSource) as exc:
-        # A configuration that loads but has no physical launched light.
+    except (UndefinedG2, NonPhysicalSource, RateTooHigh, TooManyPulses) as exc:
+        # A configuration that loads but has no physical launched light,
+        # a detector with a dark count in every gate, or more pulses per
+        # block than `simulate` can sample.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (EmptyCurve, NoCrossover, InsufficientBlock, DecoyInfeasible) as exc:

@@ -22,7 +22,7 @@ and to leak fully, in both bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +42,12 @@ class DomainError(ValueError):
 
 class InsufficientBlock(ValueError):
     """Raised when the multi-photon cap exceeds the Z-basis detections."""
+
+
+# The smallest failure probability accepted. Far smaller ones overflow
+# the key-length constants: the WCP sampling term (21 / eps)^2 is beyond
+# the largest float once eps_pe is below about 1e-152.
+EPS_MIN = 1e-100
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,8 @@ class SecurityParams:
     def __post_init__(self) -> None:
         for name in ("eps_pe", "eps_pa", "eps_ec", "eps_cor"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
+            if not EPS_MIN <= value < 1.0:
+                raise ValueError(f"{name} must be in [{EPS_MIN:g}, 1), got {value}")
         if self.f_ec < 1.0:
             raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
 
@@ -153,7 +159,7 @@ def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
 
 
 # The operations of the distillers beyond arithmetic: libm on Python
-# floats and ints, NumPy on arrays and NumPy scalars. On floats ``where``
+# floats and ints, NumPy on arrays (see ``_ops``). On floats ``where``
 # gets both branches evaluated, as ``np.where`` does, and ``maximum`` and
 # ``minimum`` are the two-argument ``max`` and ``min``, faster as lambdas.
 _PYTHON_NUMBERS = frozenset((float, int))
@@ -169,24 +175,58 @@ _NUMPY = SimpleNamespace(
 )
 
 
+class _NumpyScalars(Exception):
+    """Raised by ``_ops`` for NumPy scalars without an array among its values."""
+
+
 def _ops(*values) -> SimpleNamespace:
-    """``_MATH`` if every value is a Python float or int, else ``_NUMPY``."""
-    return _MATH if {*map(type, values)} <= _PYTHON_NUMBERS else _NUMPY
+    """``_MATH`` if every value is a Python float or int, else ``_NUMPY``.
+
+    NumPy scalars without any array raise ``_NumpyScalars``: NumPy would
+    warn where floats raise, and round otherwise than libm, so
+    ``_float_or_numpy`` reruns such a float call on Python numbers.
+    """
+    types = {*map(type, values)}
+    if types <= _PYTHON_NUMBERS:
+        return _MATH
+    if np.ndarray not in types and any(issubclass(t, np.generic) for t in types):
+        raise _NumpyScalars
+    return _NUMPY
 
 
-def _float_or_numpy(kernel, args: tuple):
-    """``kernel(*args)``, rerun on NumPy scalars where Python floats fail.
+def _as_python(value):
+    """``value`` with its NumPy scalars, also those inside a tuple, a list
+    or the fields of a parameter dataclass, replaced by Python numbers."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_as_python, value))
+    if is_dataclass(value):
+        numpy_fields = {k: v.item() for k, v in vars(value).items() if isinstance(v, np.generic)}
+        return replace(value, **numpy_fields) if numpy_fields else value
+    return value
 
-    Floats raise where NumPy gives inf or nan, on branches that the
-    kernel's ``where`` or masks then discard (a division by zero, the
-    root or logarithm of a negative); the rerun carries them through
-    and returns NumPy scalars and 0-d arrays.
+
+def _float_or_numpy(kernel, args: tuple, coerced: bool = False):
+    """``kernel(*args)`` on Python numbers, rerun on NumPy where they fail.
+
+    A call whose numbers include NumPy scalars (``_NumpyScalars``) is
+    made again, once, on the Python numbers they hold, so it returns
+    what the same call on floats returns, silently. Floats raise where
+    NumPy gives inf or nan, on branches that the kernel's ``where`` or
+    masks then discard (a division by zero, the root or logarithm of a
+    negative); the rerun on 0-d arrays carries them through and returns
+    NumPy scalars and 0-d arrays.
     """
     try:
         return kernel(*args)
+    except _NumpyScalars:
+        if coerced:
+            raise
+        return _float_or_numpy(kernel, tuple(map(_as_python, args)), coerced=True)
     except (ArithmeticError, ValueError):
         with np.errstate(all="ignore"):
-            return kernel(*(np.float64(a) if type(a) in (float, int) else a for a in args))
+            return kernel(*(np.asarray(a, float) if type(a) in (float, int) else a for a in args))
 
 
 def _chernoff(x, beta, direction: str, ops=_MATH):
@@ -259,12 +299,10 @@ def _sps_key_lengths(
     the rate of a block without pulses. Array callers silence NumPy's
     floating-point warnings.
     """
-    # The rule of ``_ops``, spelled out: the call would cost a twentieth
-    # of a float-path key length.
-    types = {
-        type(n_s), type(n_z), type(n_x), type(z_errors), type(x_errors), type(p2), type(q_z_tx)
-    }
-    ops = _MATH if types <= _PYTHON_NUMBERS else _NUMPY
+    # The rule of ``_ops``, spelled out for floats: the call would cost a
+    # twentieth of a float-path key length.
+    numbers = (n_s, n_z, n_x, z_errors, x_errors, p2, q_z_tx)
+    ops = _MATH if {*map(type, numbers)} <= _PYTHON_NUMBERS else _ops(*numbers)
     if asymptotic:
         # The infinite-block limit, eps = 1: every bound is the count itself.
         beta = pa_cost = correctness_cost = 0.0
@@ -321,6 +359,8 @@ def _sps_expectation(probs, t, yields, error_yields, q_z_tx, proto: ProtocolConf
     ``proto.block_size`` detections. Pure arithmetic, so floats and
     NumPy arrays give bit-identical results.
     """
+    # For its check alone: NumPy scalars raise ``_NumpyScalars``.
+    _ops(*probs, t, *yields, *error_yields, q_z_tx, proto.block_size, proto.q_z_rx)
     p0, p1, p2 = probs
     y0, y1, y2 = yields
     e0, e1, e2 = error_yields

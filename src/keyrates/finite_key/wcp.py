@@ -112,7 +112,7 @@ def _wcp_expectation(mus, probs, q_z_tx, eta, p_dc, p_mis, proto: ProtocolConfig
     Z and X errors. Plain loops, as comprehensions cost more than the
     arithmetic on floats; the sums run in the order of ``sum``.
     """
-    exp = _ops(*mus, *probs, q_z_tx, eta, p_dc, p_mis).exp
+    exp = _ops(*mus, *probs, q_z_tx, eta, p_dc, p_mis, proto.q_z_rx, proto.block_size).exp
     q_sift_z = q_z_tx * proto.q_z_rx
     q_sift_x = (1.0 - q_z_tx) * (1.0 - proto.q_z_rx)
     gains = []

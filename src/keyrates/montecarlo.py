@@ -6,14 +6,18 @@ are drawn binomially from the expected gain and errors binomially from
 the expected error rate. That preserves every statistic entering the
 key-length formula while running in constant time per trial.
 
-Randomness comes from NumPy's PCG64 generator; repetitions use
-independent child streams spawned from the trial seed, so results are
-reproducible across platforms and order-independent under aggregation.
+Randomness comes from NumPy's PCG64 generator. Repetition ``i`` draws
+from exactly the stream of child ``i`` of ``SeedSequence(seed).spawn(reps)``,
+so results are reproducible across platforms, order-independent under
+aggregation and stable when the run is extended. The children's PCG64
+seeds are computed for all repetitions in one pass of ``uint32`` array
+arithmetic (``seeding``) instead of one ``SeedSequence`` per repetition.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,14 @@ from .finite_key.core import _sps_key_lengths, _sps_point
 from .photon_source import SourceSpec
 
 
+MAX_REPETITIONS = 2**32
+
+
+class TooManyPulses(ValueError):
+    """Raised when a basis has more sifted pulses than NumPy's binomial
+    sampler takes (a C ``long``), e.g. at a near-zero gain."""
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     """Complete experiment configuration plus seeding and repetitions."""
@@ -41,8 +53,13 @@ class TrialSpec:
     repetitions: int = 1
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # Below 2**32 every spawn key is one uint32 word (seeding.child_seeds).
+        if not 1 <= self.repetitions < MAX_REPETITIONS:
+            raise ValueError(
+                f"repetitions must be >= 1 and < {MAX_REPETITIONS}, got {self.repetitions}"
+            )
 
 
 @dataclass(frozen=True)
@@ -62,9 +79,15 @@ def _sift_counts(spec: TrialSpec) -> tuple[tuple[int, int, float, float, float],
     """Sifted pulse counts per basis, the per-pulse gain statistics and
     the source after pre-attenuation."""
     mean, g2, q, qber, n_s, _ = _sps_point(spec.source, spec.channel, spec.proto)
-    sift_z = int(round(n_s * spec.proto.q_z_tx * spec.proto.q_z_rx))
-    sift_x = int(round(n_s * (1.0 - spec.proto.q_z_tx) * (1.0 - spec.proto.q_z_rx)))
-    return (sift_z, sift_x, n_s, q, qber), SourceSpec(spec.source.kind, mean, g2)
+    sift_z = n_s * spec.proto.q_z_tx * spec.proto.q_z_rx
+    sift_x = n_s * (1.0 - spec.proto.q_z_tx) * (1.0 - spec.proto.q_z_rx)
+    if not max(sift_z, sift_x) < 2.0**63:
+        raise TooManyPulses(
+            f"{max(sift_z, sift_x):.4g} sifted pulses in one basis; binomial sampling "
+            f"takes at most 2**63 - 1"
+        )
+    counts = (int(round(sift_z)), int(round(sift_x)), n_s, q, qber)
+    return counts, SourceSpec(spec.source.kind, mean, g2)
 
 
 def _draw_tallies(
@@ -88,23 +111,23 @@ def simulate_trial(spec: TrialSpec, rng: np.random.Generator | None = None) -> T
     return TallySet(counts[2], *_draw_tallies(counts, rng))
 
 
-def iter_trials(spec: TrialSpec):
-    """Per-repetition tallies with their distilled key length and rate.
+def _trial_arrays(spec: TrialSpec) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Pulses sent per trial, then every trial's tallies, key length and rate.
 
-    Repetitions draw from independent child streams spawned off the
-    trial seed. Every trial is drawn first and then all are distilled in
-    one array call of ``_sps_key_lengths``, the distiller behind
-    ``sps_key_length``. Trials where distillation is infeasible yield
-    NaNs instead of aborting the run.
+    Trial ``i`` draws its tallies from child ``i`` of the trial seed's
+    ``SeedSequence`` (``seeding.spawned_generators``). All trials are
+    then distilled in one array call of ``_sps_key_lengths``, the
+    distiller behind ``sps_key_length``. ``draws`` holds one row per
+    trial in ``TallySet`` order; key length and rate are NaN where
+    distillation is infeasible.
     """
+    from .seeding import spawned_generators  # imports numpy.random
+
     counts, launched = _sift_counts(spec)
     n_s = counts[2]
     draws = np.empty((spec.repetitions, 4), dtype=np.int64)
-    root = np.random.SeedSequence(spec.seed)
-    for row in draws:
-        # One child per spawn call: the same streams as
-        # spawn(repetitions), without holding every SeedSequence.
-        row[:] = _draw_tallies(counts, np.random.default_rng(root.spawn(1)[0]))
+    for row, rng in zip(draws, spawned_generators(spec.seed, spec.repetitions)):
+        row[:] = _draw_tallies(counts, rng)
 
     n_z, n_x, m_z, m_x = draws.T
     # sps_key_length's expression: `**2`, not `*`, so the last bit agrees.
@@ -114,7 +137,16 @@ def iter_trials(spec: TrialSpec):
             n_s, n_z, n_x, m_z, m_x, p2, spec.proto.q_z_tx, spec.sec
         )
     key_length = np.where(insufficient, math.nan, report.key_length)
-    rate = key_length / n_s
+    return n_s, draws, key_length, key_length / n_s
+
+
+def iter_trials(spec: TrialSpec):
+    """Per-repetition tallies with their distilled key length and rate.
+
+    The rows of ``_trial_arrays``; trials where distillation is
+    infeasible yield NaNs instead of aborting the run.
+    """
+    n_s, draws, key_length, rate = _trial_arrays(spec)
     # Row by row, so no Python copy of every trial is held.
     for draw, key, r in zip(draws, key_length, rate):
         yield TallySet(n_s, *draw.tolist()), float(key), float(r)
@@ -126,16 +158,12 @@ def simulate_rate_distribution(spec: TrialSpec) -> RateSummary:
     Infeasible repetitions are counted as failures. The mean rate is
     consistent with the analytic pipeline within sampling error.
     """
-    rates = []
-    failures = 0
-    for _, _, rate in iter_trials(spec):
-        if math.isnan(rate):
-            failures += 1
-        else:
-            rates.append(rate)
-    if not rates:
+    rate = _trial_arrays(spec)[3]
+    failed = np.isnan(rate)
+    failures = int(failed.sum())
+    arr = rate[~failed]
+    if not len(arr):
         return RateSummary(0.0, 0.0, 0.0, 0.0, 0.0, spec.repetitions, failures)
-    arr = np.array(rates)
     return RateSummary(
         mean=float(arr.mean()),
         stddev=float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,

@@ -5,13 +5,19 @@ import math
 import pytest
 
 from keyrates.cli import (
+    MAX_POINTS,
+    MAX_POPULATION,
+    MAX_REPS,
     ExperimentConfig,
     ParseError,
     ValidationError,
+    _SIMULATE_BLOCK,
+    build_parser,
     bundled_field_config,
     load_config,
     run,
 )
+from keyrates.montecarlo import TrialSpec, iter_trials
 
 FIELD_CFG_TEXT = """
 clock_rate_hz = 76.13e6
@@ -231,6 +237,8 @@ def test_sps_only_commands_reject_wcp_config(tmp_path, capsys, argv):
         ["sweep", "{cfg}", "--loss-min", "0", "--loss-max", "6", "--steps", "3",
          "-o", "{missing}"],
         ["simulate", "{cfg}", "--reps", "2", "--seed", "1", "-o", "{missing}"],
+        ["simulate", "{cfg}", "--reps", "1000000000000", "--seed", "1"],
+        ["optimize", "{cfg}", "--target", "sps", "--population", "1000000000000"],
     ],
 )
 def test_bad_arguments_are_usage_errors(field_cfg, tmp_path, capsys, argv):
@@ -240,6 +248,55 @@ def test_bad_arguments_are_usage_errors(field_cfg, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, name, cap",
+    [
+        (["simulate", "cfg", "--seed", "1", "--reps"], "reps", MAX_REPS),
+        (["optimize", "cfg", "--population"], "population", MAX_POPULATION),
+        (["sweep", "cfg", "--loss-min", "0", "--loss-max", "6", "--steps"], "steps", MAX_POINTS),
+        (
+            ["boundary", "cfg", "--loss", "0", "--mode", "asymptotic", "--grid-points"],
+            "grid_points",
+            MAX_POINTS,
+        ),
+    ],
+)
+def test_sizing_arguments_are_capped_by_the_parser(capsys, argv, name, cap):
+    # Parsing only: nothing is sized or allocated.
+    assert getattr(build_parser().parse_args([*argv, str(cap)]), name) == cap
+    for value in (cap + 1, 10**12):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, str(value)])
+        assert exc.value.code == 2
+        assert "must be an integer in [" in capsys.readouterr().err
+
+
+def test_failure_probability_below_the_floor_is_config_error(tmp_path, capsys):
+    # (21 / eps)^2 of the WCP sampling term would overflow a float.
+    text = WCP_CFG_TEXT.replace("eps_pe = 9.1666666667e-11", "eps_pe = 1e-300")
+    assert run(["rate", write_cfg(tmp_path, text)]) == 3
+    assert "eps_pe must be in [1e-100, 1)" in capsys.readouterr().err
+
+
+def test_dark_count_in_every_gate_is_config_error(tmp_path, capsys):
+    text = FIELD_CFG_TEXT.replace("gate_width_s = 3.42e-9", "gate_width_s = 1")
+    assert run(["rate", write_cfg(tmp_path, text)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: RateTooHigh:")
+
+
+def test_more_pulses_than_binomial_sampling_takes_is_config_error(tmp_path, capsys):
+    # A near-zero gain needs about 1e27 pulses per basis for the block.
+    text = FIELD_CFG_TEXT.replace("fiber_optics_efficiency = 0.6", "fiber_optics_efficiency = 6e-10")
+    text = text.replace("dark_count_rate_cps = 43", "dark_count_rate_cps = 4.3e-8")
+    argv = ["simulate", write_cfg(tmp_path, text), "--reps", "1", "--seed", "0"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: TooManyPulses:")
 
 
 def test_unphysical_launch_is_config_error(tmp_path, capsys):
@@ -385,6 +442,48 @@ class TestSimulateCommand:
         assert run(args + ["-o", str(out)]) == 0
         assert out.read_bytes() == stdout.encode()
         assert stdout.count("\n") == 51 and stdout.endswith("\n")
+
+    def test_infeasible_trials_print_zeros_and_count_as_failures(self, tmp_path, capsys):
+        # Near the multi-photon threshold about half the trials raise
+        # InsufficientBlock; their rows read 0 and they are not averaged.
+        text = FIELD_CFG_TEXT.replace("g2 = 0.00698", "g2 = 0.085").replace(
+            "block_size = 1e8", "block_size = 1e4"
+        )
+        path = write_cfg(tmp_path, text)
+        assert run(["simulate", path, "--reps", "300", "--seed", "3"]) == 0
+        out, err = capsys.readouterr()
+        config = load_config(path)
+        spec = TrialSpec(config.source, config.channel, config.proto, config.sec, 3, 300)
+        trials = list(iter_trials(spec))
+        failed = [math.isnan(rate) for _, _, rate in trials]
+        assert 0 < sum(failed) < len(trials)
+        rates = [rate for _, _, rate in trials if not math.isnan(rate)]
+        assert err.splitlines() == [
+            f"# mean_rate = {sum(rates) / len(rates):.9e}",
+            f"# failures = {sum(failed)}",
+        ]
+        rows = out.splitlines()[1:]
+        for index, (row, (tallies, key_length, rate), fail) in enumerate(zip(rows, trials, failed)):
+            if fail:
+                key_length = rate = 0.0
+            t = tallies
+            assert row == (
+                f"{3 + index},{t.z_detections},{t.z_errors},{t.x_detections},{t.x_errors},"
+                f"{key_length:.9e},{rate:.9e}"
+            )
+
+    def test_rows_run_on_across_blocks_of_formatting(self, field_cfg, capsys):
+        # More trials than one block of CSV formatting holds.
+        reps = _SIMULATE_BLOCK + 3
+        assert run(["simulate", field_cfg, "--reps", str(reps), "--seed", "8"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(8, 8 + reps))
+        config = load_config(field_cfg)
+        spec = TrialSpec(config.source, config.channel, config.proto, config.sec, 8, reps)
+        last = list(iter_trials(spec))[-1][0]
+        assert rows[-1][1:5] == [
+            str(last.z_detections), str(last.z_errors), str(last.x_detections), str(last.x_errors)
+        ]
 
     def test_empty_z_block_without_multi_photon_pulses(self, tmp_path, capsys):
         # With g2 = 0 and a one-detection block some trials draw no Z

@@ -1,7 +1,7 @@
 """Finite-key distillation: entropy, concentration bounds, key lengths."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -36,6 +36,11 @@ FIELD_SEC = SecurityParams(
 )
 FIELD_PROTO = ProtocolConfig(q_z_tx=0.9, q_z_rx=0.9, block_size=1e8)
 FIELD_SOURCE = SourceSpec(SourceKind.SPS, 0.292, 0.00698)
+
+
+def _as_numpy_scalars(params):
+    """``params`` with every field passed in as a NumPy float64."""
+    return replace(params, **{name: np.float64(v) for name, v in vars(params).items()})
 
 
 class TestBinaryEntropy:
@@ -126,6 +131,32 @@ class TestSpsKeyLength:
         assert batch.key_length.tolist() == [0.0]
         assert insufficient.tolist() == [False]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("numpy_sec_only", [False, True])
+    @pytest.mark.parametrize(
+        "tallies, g2",
+        [
+            (TallySet(1e6, 1e4, 1e2, 1e2, 1e0), 0.01),
+            # No X block beyond a zero cap: the float path divides by
+            # zero on a discarded branch and reruns on NumPy.
+            (TallySet(1e6, 1e4, 0.0, 1e2, 0.0), 0.0),
+            # No pulses: the rate divides by zero.
+            (TallySet(0.0, 0.0, 0.0, 0.0, 0.0), 0.0),
+        ],
+    )
+    def test_numpy_scalar_inputs_give_the_float_result_silently(self, tallies, g2, numpy_sec_only):
+        source = SourceSpec(SourceKind.SPS, 0.9, g2)
+        expected = sps_key_length(tallies, source, FIELD_PROTO, FIELD_SEC)
+        if not numpy_sec_only:
+            tallies = TallySet(
+                np.float64(tallies.n_pulses_sent), *map(np.int64, astuple(tallies)[1:])
+            )
+            source = SourceSpec(SourceKind.SPS, np.float64(0.9), np.float64(g2))
+        proto = FIELD_PROTO if numpy_sec_only else _as_numpy_scalars(FIELD_PROTO)
+        got = sps_key_length(tallies, source, proto, _as_numpy_scalars(FIELD_SEC))
+        assert got.key_length == expected.key_length
+        assert got.rate_per_pulse == expected.rate_per_pulse
+
     def test_multi_photon_cap_exhausts_block(self):
         tallies = TallySet(1e12, 1e4, 1e2, 1e2, 1e0)
         source = SourceSpec(SourceKind.SPS, 0.5, 0.5)
@@ -139,6 +170,25 @@ class TestSpsKeyLength:
 
 
 class TestSpsExpectedRate:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("detection_efficiency", [0.712, 0.0])
+    def test_numpy_scalar_expectation_gives_the_float_result_silently(self, detection_efficiency):
+        # Without detections the float expectation divides by zero.
+        channel = replace(
+            FIELD_CHANNEL, detection_efficiency=detection_efficiency, dark_count_rate_cps=0.0
+        )
+
+        def outcome(*params):
+            try:
+                return sps_expected_rate(*params).rate_per_pulse
+            except InsufficientBlock as exc:
+                return str(exc)
+
+        expected = outcome(FIELD_SOURCE, channel, FIELD_PROTO, FIELD_SEC)
+        numpy_source = SourceSpec(SourceKind.SPS, *map(np.float64, (0.292, 0.00698)))
+        numpy_params = map(_as_numpy_scalars, (channel, FIELD_PROTO, FIELD_SEC))
+        assert outcome(numpy_source, *numpy_params) == expected
+
     def test_field_configuration(self):
         report = sps_expected_rate(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert report.rate_per_pulse == pytest.approx(1.08e-3, rel=0.25)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from keyrates.channel import ChannelDetectorModel, detection_stats, link_transmittance
 from keyrates.finite_key import (
@@ -23,6 +25,7 @@ from keyrates.montecarlo import (
     simulate_trial,
 )
 from keyrates.photon_source import SourceKind, SourceSpec
+from keyrates.seeding import spawned_generators
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
 FIELD_SEC = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16)
@@ -139,6 +142,15 @@ class TestRateDistribution:
     def test_repetitions_validated(self):
         with pytest.raises(ValueError):
             replace(FIELD_SPEC, repetitions=0)
+        # Every spawn key must be one uint32 word.
+        with pytest.raises(ValueError):
+            replace(FIELD_SPEC, repetitions=2**32)
+
+    def test_seed_validated(self):
+        with pytest.raises(ValueError):
+            replace(FIELD_SPEC, seed=-1)
+        with pytest.raises(TypeError):
+            replace(FIELD_SPEC, seed=1.5)
 
     def test_seed_splitting_is_prefix_stable(self):
         # Child streams are spawned incrementally, so extending the run
@@ -188,3 +200,17 @@ def test_batched_distillation_matches_per_trial_key_length(g2, block_size, keyle
         assert 0 < insufficient < spec.repetitions
     else:
         assert insufficient == 0
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, n=1)
+@example(seed=2**128, n=3)
+@example(seed=2**256 - 1, n=64)
+@given(
+    seed=st.one_of(st.integers(0, 2**64), st.integers(0, 2**256 - 1)),
+    n=st.integers(1, 64),
+)
+def test_spawned_generators_are_those_of_spawned_seed_sequences(seed, n):
+    # Seeds above 2**128 take more run-entropy words than the pool holds.
+    expected = [np.random.PCG64(c).state for c in np.random.SeedSequence(seed).spawn(n)]
+    assert [rng.bit_generator.state for rng in spawned_generators(seed, n)] == expected

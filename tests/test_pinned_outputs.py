@@ -2,9 +2,10 @@
 
 The expected files in ``tests/data`` hold the outputs of the code
 before each protocol's scalar and array key lengths became one
-implementation. Every number must agree within 1e-12 relative rather
-than exactly, because NumPy's ``exp`` and ``log2`` may round
-differently on another CPU; the text between numbers must match
+implementation, and ``simulate``'s output before its child streams
+were seeded in one array pass. Every number must agree within 1e-12
+relative rather than exactly, because NumPy's ``exp`` and ``log2`` may
+round differently on another CPU; the text between numbers must match
 exactly.
 """
 
@@ -57,3 +58,11 @@ def test_agreement_check_catches_a_changed_digit():
     assert_agrees(pinned, pinned)
     with pytest.raises(AssertionError):
         assert_agrees(pinned.replace("3.3363515167086182", "3.3363515167186182"), pinned)
+
+
+def test_simulate_matches_pinned_text(capsys):
+    argv = ["simulate", bundled_field_config(), "--reps", "300", "--seed", "42"]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert_agrees(out, (DATA / "field_simulate_300_42.csv").read_text())
+    assert_agrees(err, "# mean_rate = 1.167599022e-03\n# failures = 0\n")

@@ -19,6 +19,7 @@ from keyrates.finite_key import (
     wcp_finite_key_rate,
 )
 from keyrates.channel import dark_count_prob
+from keyrates.finite_key.comparison import optimized_wcp_rate
 from keyrates.finite_key.wcp import (
     CONCENTRATIONS,
     _wcp_expectation,
@@ -217,3 +218,38 @@ def test_key_lengths_take_array_tallies_beside_scalar_parameters(concentration):
     assert point.rate_per_pulse > 0.0 and not any(point_masks)
     assert batch.key_length.tolist() == pytest.approx([point.key_length] * 3, rel=1e-12)
     assert not any(mask.any() for mask in batch_masks)
+
+
+def _as_numpy_scalars(params):
+    """``params`` with every field passed in as a NumPy float64."""
+    return replace(params, **{name: np.float64(v) for name, v in vars(params).items()})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "loss_db, intensities",
+    [
+        (14.6, INTENSITIES),
+        # A decoy at 2 % of the signal: the float path fails on a
+        # discarded branch and reruns on NumPy scalars.
+        (0.0, WcpIntensities(0.5, 0.01, 0.9, 0.07)),
+    ],
+)
+def test_numpy_scalar_inputs_give_the_float_result_silently(loss_db, intensities):
+    channel = replace(FIELD_CHANNEL, channel_loss_db=loss_db)
+    expected = wcp_finite_key_rate(intensities, channel, PROTO, FIELD_SEC)
+    got = wcp_finite_key_rate(*map(_as_numpy_scalars, (intensities, channel, PROTO, FIELD_SEC)))
+    assert got.key_length == expected.key_length
+    assert got.rate_per_pulse == expected.rate_per_pulse
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", [0, 3, 39])
+def test_tuned_rate_over_numpy_dark_counts_matches_floats(index):
+    dark_count_rate = np.linspace(0.0, 5e4, 40)[index]
+    channel = replace(FIELD_CHANNEL, channel_loss_db=30.0)
+    got = optimized_wcp_rate(replace(channel, dark_count_rate_cps=dark_count_rate), PROTO, FIELD_SEC)
+    expected = optimized_wcp_rate(
+        replace(channel, dark_count_rate_cps=float(dark_count_rate)), PROTO, FIELD_SEC
+    )
+    assert got[0] == expected[0]
