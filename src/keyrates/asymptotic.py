@@ -124,9 +124,7 @@ def boundary_min_mean(loss_db: float) -> float:
     """Smallest mean photon number admitting any advantage at this loss.
 
     At g2 = 0 the SPS rate ``<n> eta`` and the WCP ceiling ``eta / e``
-    are both linear in eta, so this is 1/e at every loss; ``loss_db``
-    is kept so the asymptotic and finite-key solvers share one
-    interface.
+    are both linear in eta, so this is 1/e at every loss.
     """
     return 1.0 / math.e
 

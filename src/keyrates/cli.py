@@ -36,12 +36,17 @@ from .finite_key import (
     sweep_rates,
     wcp_finite_key_rate,
 )
-from .finite_key.comparison import WCP_RECEIVER_Z_RATIO, advantage_db
+from .finite_key.comparison import (
+    WCP_RECEIVER_Z_RATIO,
+    _sps_rate_or_zero,
+    _wcp_rate_or_zero,
+    advantage_db,
+)
 from .finite_key.core import _sps_lanes
 from .finite_key.wcp import _wcp_lanes
 from .montecarlo import TooManyPulses, TrialSpec, _trial_arrays
 from .optimizer import GASettings, SearchSpace, optimize
-from .photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
+from .photon_source import NORMALIZATION_TOL, NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 
 
 class ParseError(ValueError):
@@ -200,11 +205,17 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ValidationError(
                     f"incomplete decoy description, missing: {', '.join(missing_wcp)}"
                 )
+            p_signal, p_decoy = values["p_signal"], values["p_decoy"]
+            # Decimal probabilities that sum to one, such as 0.8 and 0.2,
+            # can leave 1 - p_signal - p_decoy just below 0 in binary;
+            # within NORMALIZATION_TOL the vacuum probability is taken as 0.
+            if -NORMALIZATION_TOL <= 1.0 - p_signal - p_decoy < 0.0:
+                p_decoy = 1.0 - p_signal
             wcp = WcpIntensities(
                 mu_signal=values["mu_signal"],
                 mu_decoy=values["mu_decoy"],
-                p_signal=values["p_signal"],
-                p_decoy=values["p_decoy"],
+                p_signal=p_signal,
+                p_decoy=p_decoy,
             )
     except NonPhysicalSource as exc:
         raise ValidationError(f"NonPhysicalSource: {exc}") from exc
@@ -325,6 +336,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if args.target == "sps":
         _require_sps(config, "optimize --target sps")
         space = SearchSpace({"q_z_tx": (0.5, 0.99), "pre_attenuation": (1e-6, 1.0)})
+        n_mean, g2 = config.source.mean_photon_number, config.source.g2
 
         def objective(params: dict[str, float]) -> float:
             proto = replace(
@@ -332,22 +344,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 q_z_tx=params["q_z_tx"],
                 pre_attenuation=params["pre_attenuation"],
             )
-            try:
-                return sps_expected_rate(
-                    config.source, config.channel, proto, config.sec
-                ).rate_per_pulse
-            except (InsufficientBlock, NonPhysicalSource):
-                return 0.0
+            return _sps_rate_or_zero(n_mean, g2, config.channel, proto, config.sec, False)
 
         def score_population(columns: dict[str, np.ndarray]) -> np.ndarray:
             lanes = _sps_lanes(
-                config.source.mean_photon_number,
-                config.source.g2,
-                columns["q_z_tx"],
-                config.channel.channel_loss_db,
-                config.channel,
-                config.proto,
-                config.sec,
+                n_mean, g2, columns["q_z_tx"], config.channel.channel_loss_db,
+                config.channel, config.proto, config.sec,
             )
             return lanes(columns["pre_attenuation"])
 
@@ -364,40 +366,28 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             simplex_groups=(("p_signal", "p_decoy", "p_vacuum"),),
         )
 
-        def objective(params: dict[str, float]) -> float:
-            proto = replace(
-                config.proto,
-                q_z_tx=params["q_z_tx"],
-                q_z_rx=WCP_RECEIVER_Z_RATIO,
-            )
-            try:
-                intensities = WcpIntensities(
-                    mu_signal=params["mu_signal"],
-                    mu_decoy=params["mu_signal"] * params["mu_decoy_fraction"],
-                    p_signal=params["p_signal"],
-                    p_decoy=params["p_decoy"],
-                )
-                return wcp_finite_key_rate(
-                    intensities, config.channel, proto, config.sec
-                ).rate_per_pulse
-            except ValueError:
-                return 0.0
-
         wcp_proto = replace(config.proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
         lanes = _wcp_lanes(
             config.channel.channel_loss_db, config.channel, wcp_proto, config.sec, "hoeffding"
         )
 
-        def score_population(columns: dict[str, np.ndarray]) -> np.ndarray:
-            return lanes(
-                columns["mu_signal"],
-                columns["mu_signal"] * columns["mu_decoy_fraction"],
-                columns["p_signal"],
-                columns["p_decoy"],
-                columns["q_z_tx"],
+        def point(params) -> tuple:
+            """``(mu_s, mu_d, p_s, p_d, q_z_tx)`` of a row or of columns."""
+            mu_s = params["mu_signal"]
+            return (
+                mu_s, mu_s * params["mu_decoy_fraction"],
+                params["p_signal"], params["p_decoy"], params["q_z_tx"],
             )
 
-    # Both scorers give exactly 0 wherever `objective` catches an exception.
+        def objective(params: dict[str, float]) -> float:
+            return _wcp_rate_or_zero(
+                *point(params), config.channel, wcp_proto, config.sec, "hoeffding"
+            )
+
+        def score_population(columns: dict[str, np.ndarray]) -> np.ndarray:
+            return lanes(*point(columns))
+
+    # Both scorers give exactly 0 wherever the float pipeline raises.
     result = optimize(objective, space, settings, score_population=score_population)
     print(f"best_rate_per_pulse = {format(result.best_rate, '.17g')}")
     print(f"best_rate_per_second = {format(result.best_rate * config.clock_rate_hz, '.17g')}")

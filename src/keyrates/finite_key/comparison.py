@@ -24,6 +24,7 @@ from .core import (
     InsufficientBlock,
     ProtocolConfig,
     SecurityParams,
+    _MATH,
     _ops,
     _sps_lanes,
     sps_expected_rate,
@@ -88,45 +89,28 @@ def advantage_db(r_sps: float, r_wcp: float) -> float:
     return math.inf if r_sps > r_wcp else -math.inf
 
 
-def _golden_max(f, lo: float, hi: float, iterations: int = 30) -> tuple[float, float]:
-    """Deterministic golden-section maximiser for a unimodal objective."""
+def _golden_max(f, lo, hi, iterations: int = 30):
+    """Deterministic golden-section maximiser for a unimodal objective.
+
+    ``f`` maps a float to its value, or an array of points to their
+    values in independent lanes searched in lockstep; the bounds ``lo``
+    and ``hi`` are then shared or per lane. Each lane takes the same
+    branches and returns the same point and value as a float search of
+    that lane alone.
+    """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    best = 0.5 * (a + b)
-    return best, f(best)
-
-
-def _golden_max_lanes(f, lo, hi, shape, iterations: int = 30):
-    """``_golden_max`` for independent lanes searched in lockstep.
-
-    ``f`` maps an array of points of ``shape`` to their values, and the
-    bounds ``lo`` and ``hi`` are shared or per lane (broadcast to
-    ``shape``). Each lane takes the same branches and returns the same
-    point and value as ``_golden_max`` would on that lane alone.
-    """
-    a, b = np.full(shape, lo), np.full(shape, hi)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    where = np.where if isinstance(fc, np.ndarray) else _MATH.where
     for _ in range(iterations):
         left = fc >= fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        a = where(left, a, c)
+        b = where(left, d, b)
+        x = where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
         fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        c, d = where(left, x, d), where(left, c, x)
+        fc, fd = where(left, fx, fd), where(left, fc, fx)
     best = 0.5 * (a + b)
     return best, f(best)
 
@@ -162,12 +146,11 @@ def _tune_sps(
         *(np.asarray(a, dtype=float) for a in (n_mean, g2, loss_db))
     )
     q_grid = np.array(Q_TX_GRID)
-    shape = n_mean.shape + q_grid.shape
     rate_at = _sps_lanes(
         n_mean[..., None], g2[..., None], q_grid, loss_db[..., None],
         channel, proto, sec, asymptotic,
     )
-    t, rate = _golden_max_lanes(rate_at, 1e-4, 1.0, shape)
+    t, rate = _golden_max(rate_at, 1e-4, 1.0)
     unattenuated = rate_at(1.0)
     keep_one = unattenuated >= rate
     t = np.where(keep_one, 1.0, t)
@@ -216,17 +199,15 @@ def optimized_sps_rate(
 
 
 def _wcp_rate_or_zero(
-    q_tx, mu_s, mu_d, p_s, share, channel, proto, sec, concentration
+    mu_s, mu_d, p_s, p_d, q_tx, channel, proto, sec, concentration
 ) -> float:
-    """Scalar WCP rate at a tuner point, 0 where the tuner or the pipeline rejects it.
+    """Scalar WCP rate at a tuner point, 0 where the pipeline rejects it.
 
-    ``share`` is the decoy's share of the non-signal probability.
+    Takes its point in the order of the ``_wcp_lanes`` scorer.
     """
-    if not 0.0 < mu_d < mu_s or not 0.0 < p_s < 1.0 or not 0.0 < share < 1.0:
-        return 0.0
     cfg = replace(proto, q_z_tx=q_tx)
     try:
-        ints = WcpIntensities(mu_s, mu_d, p_s, (1.0 - p_s) * share)
+        ints = WcpIntensities(mu_s, mu_d, p_s, p_d)
         return wcp_finite_key_rate(ints, channel, cfg, sec, concentration).rate_per_pulse
     except ValueError:  # DecoyInfeasible included
         return 0.0
@@ -236,9 +217,9 @@ def _wcp_rate_or_zero(
 def _wcp_seed_grid() -> tuple[list[tuple[float, ...]], tuple[np.ndarray, ...]]:
     """The (q_tx, mu_s, mu_d, p_s, share) seed grid of the WCP tuner, as rows and as columns.
 
-    Every point passes the guard of ``_wcp_rate_or_zero``, so the kernel
-    scores the same rates as a per-point scan would. Built on first use,
-    which keeps it out of the import of commands that tune no WCP side.
+    Every point has ``0 < mu_d < mu_s``, ``0 < p_s < 1`` and ``0 <
+    share < 1``, as ``_refine_wcp`` needs. Built on first use, which
+    keeps it out of the import of commands that tune no WCP side.
     """
     rows = [
         (q_tx, mu_s, mu_d, p_s, share)
@@ -259,26 +240,26 @@ def _wcp_seed(loss_db: float, channel, proto, sec, concentration) -> tuple:
     return rows[int(np.argmax(lanes(mu_s, mu_d, p_s, (1.0 - p_s) * share, q_tx)))]
 
 
-def _refine_wcp(rate_at, golden, q_tx, mu_s, mu_d, p_s, share):
+def _refine_wcp(score, q_tx, mu_s, mu_d, p_s, share):
     """The WCP tuner's coordinate-wise golden refinement from a seed point.
 
-    Runs on floats with ``golden = _golden_max`` or on lanes with
-    ``_golden_max_lanes``; ``rate_at`` scores ``(q_tx, mu_s, mu_d, p_s,
-    share)`` the same way. Returns the rate of the last search and the
-    refined ``(mu_s, mu_d, p_s, share)``.
+    ``score(mu_s, mu_d, p_s, p_d, q_tx)`` is ``_wcp_rate_or_zero`` on
+    floats or a ``_wcp_lanes`` scorer on lanes. Every probe lies strictly
+    inside its bounds, so it keeps ``0 < mu_d < mu_s``, ``0 < p_s < 1``
+    and ``0 < share < 1``. Returns the rate of the last search and the
+    refined ``(mu_s, mu_d, p_s, p_d)``.
     """
     minimum = _ops(mu_d).minimum  # min, or np.minimum on lanes
+
+    def rate_at(mu_s, mu_d, p_s, share):
+        return score(mu_s, mu_d, p_s, (1.0 - p_s) * share, q_tx)
+
     for _ in range(2):
-        mu_s, _ = golden(lambda v: rate_at(q_tx, v, minimum(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
-        mu_d, _ = golden(lambda v: rate_at(q_tx, mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
-        p_s, _ = golden(lambda v: rate_at(q_tx, mu_s, mu_d, v, share), 0.05, 0.98, 20)
-        share, rate = golden(lambda v: rate_at(q_tx, mu_s, mu_d, p_s, v), 0.02, 0.98, 20)
-    return rate, mu_s, mu_d, p_s, share
-
-
-def _wcp_result(rate: float, mu_s: float, mu_d: float, p_s: float, share: float):
-    """The tuner's rate and intensities at a refined point."""
-    return max(rate, 0.0), WcpIntensities(mu_s, mu_d, p_s, (1.0 - p_s) * share)
+        mu_s, _ = _golden_max(lambda v: rate_at(v, minimum(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
+        mu_d, _ = _golden_max(lambda v: rate_at(mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
+        p_s, _ = _golden_max(lambda v: rate_at(mu_s, mu_d, v, share), 0.05, 0.98, 20)
+        share, rate = _golden_max(lambda v: rate_at(mu_s, mu_d, p_s, v), 0.02, 0.98, 20)
+    return rate, mu_s, mu_d, p_s, (1.0 - p_s) * share
 
 
 def _tune_wcp(
@@ -292,33 +273,22 @@ def _tune_wcp(
 
     Each loss scores the seed grid in its own ``_wcp_lanes`` call, which
     keeps one grid in memory at a time. The refinement then runs for
-    every loss in lockstep on ``_golden_max_lanes``, and each lane's
-    winner is scored again by the float path. Returns one ``(rate,
-    intensities, q_z_tx)`` per loss, each exactly as
-    ``optimized_wcp_rate`` returns it for that loss alone.
+    every loss in lockstep, and each lane's winner is scored again by
+    the float path. Returns one ``(rate, intensities, q_z_tx)`` per
+    loss, each exactly as ``optimized_wcp_rate`` returns it for that
+    loss alone.
     """
     proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
     losses = np.asarray(loss_db, dtype=float)
     seeds = [_wcp_seed(loss, channel, proto, sec, concentration) for loss in losses.tolist()]
     lanes = _wcp_lanes(losses, channel, proto, sec, concentration)
-
-    def rate_at(q_tx, mu_s, mu_d, p_s, share) -> np.ndarray:
-        # The guard of ``_wcp_rate_or_zero``.
-        inside = (
-            (0.0 < mu_d) & (mu_d < mu_s) & (0.0 < p_s) & (p_s < 1.0) & (0.0 < share) & (share < 1.0)
-        )
-        return np.where(inside, lanes(mu_s, mu_d, p_s, (1.0 - p_s) * share, q_tx), 0.0)
-
-    def golden(f, lo, hi, iterations):
-        return _golden_max_lanes(f, lo, hi, losses.shape, iterations)
-
     q_tx, *seed = (np.array(column, dtype=float) for column in zip(*seeds))
-    _, *point = _refine_wcp(rate_at, golden, q_tx, *seed)
+    _, *point = _refine_wcp(lanes, q_tx, *seed)
     tuned = []
     for loss, q, *lane in zip(losses.tolist(), q_tx.tolist(), *(a.tolist() for a in point)):
         ch = replace(channel, channel_loss_db=loss)
-        rate = _wcp_rate_or_zero(q, *lane, ch, proto, sec, concentration)
-        tuned.append((*_wcp_result(rate, *lane), q))
+        rate = _wcp_rate_or_zero(*lane, q, ch, proto, sec, concentration)
+        tuned.append((max(rate, 0.0), WcpIntensities(*lane), q))
     return tuned
 
 
@@ -359,12 +329,12 @@ def optimized_wcp_rate(
 
     proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
 
-    def rate_at(*point) -> float:
+    def score(*point) -> float:
         return _wcp_rate_or_zero(*point, channel, proto, sec, concentration)
 
     q_tx, *seed = _wcp_seed(channel.channel_loss_db, channel, proto, sec, concentration)
-    rate, intensities = _wcp_result(*_refine_wcp(rate_at, _golden_max, q_tx, *seed))
-    return rate, intensities, replace(proto, q_z_tx=q_tx)
+    rate, *point = _refine_wcp(score, q_tx, *seed)
+    return max(rate, 0.0), WcpIntensities(*point), replace(proto, q_z_tx=q_tx)
 
 
 def compare(

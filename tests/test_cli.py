@@ -186,6 +186,25 @@ class TestRateCommand:
         assert err[0].startswith("empty result:")
         assert message in err[0]
 
+    # 1 - 0.8 - 0.2 is -5.6e-17 in binary, so the vacuum probability is
+    # read as 0. The rates are those with p_decoy = 1 - p_signal.
+    @pytest.mark.parametrize(
+        "p_signal, p_decoy, rate", [("0.8", "0.2", 0.0006157277760955888), ("0.9", "0.1", 0.0)]
+    )
+    def test_decimal_probabilities_summing_to_one_are_accepted(
+        self, tmp_path, capsys, p_signal, p_decoy, rate
+    ):
+        text = FIELD_CFG_TEXT.replace("source_kind = sps", "source_kind = wcp")
+        text += f"mu_signal = 0.5\nmu_decoy = 0.15\np_signal = {p_signal}\np_decoy = {p_decoy}\n"
+        assert run(["rate", write_cfg(tmp_path, text)]) == 0
+        out = capsys.readouterr().out
+        assert f"rate_per_pulse = {format(rate, '.17g')}\n" in out
+
+    def test_probabilities_beyond_the_tolerance_are_rejected(self, tmp_path):
+        text = FIELD_CFG_TEXT.replace("source_kind = sps", "source_kind = wcp")
+        text += "mu_signal = 0.5\nmu_decoy = 0.15\np_signal = 0.8\np_decoy = 0.2000001\n"
+        assert run(["rate", write_cfg(tmp_path, text)]) == 3
+
     def test_wcp_source_without_intensities_fails(self, tmp_path):
         text = FIELD_CFG_TEXT.replace("source_kind = sps", "source_kind = wcp")
         path = write_cfg(tmp_path, text)

@@ -2,10 +2,13 @@
 documented exit code, never in a traceback.
 
 The fast subcommands are fuzzed (``rate``, ``boundary --mode
-asymptotic`` and ``simulate`` with at most 20 repetitions); configs
-start from the bundled field.cfg, or its WCP variant, with values
-scaled, replaced or dropped and stray lines added. 250 examples take a
-few seconds.
+asymptotic`` and ``simulate`` with at most 20 repetitions), and so are
+the tuning subcommands on small sizes (``sweep`` with at most 3 steps,
+``compare``, ``optimize`` with at most 6 individuals and 2 generations,
+``boundary --mode finite`` with at most 3 grid points). Configs start
+from the bundled field.cfg, or its WCP variant, with values scaled,
+replaced or dropped and stray lines added. Each property takes a few
+seconds.
 """
 
 import re
@@ -82,12 +85,47 @@ def arguments(draw) -> list[str]:
     return ["simulate", "--reps", str(reps), "--seed", str(seed)]
 
 
-@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=config_text(), argv=arguments())
-def test_any_config_and_arguments_end_in_a_documented_exit_code(tmp_path, capsys, text, argv):
+def assert_documented_exit(tmp_path, capsys, text: str, argv: list[str]) -> None:
+    """Run ``argv`` on a config holding ``text``: a documented exit code, no traceback."""
     path = tmp_path / "fuzz.cfg"
     path.write_text(text)
     code = run([argv[0], str(path), *argv[1:]])
     err = capsys.readouterr().err
     assert code in EXIT_CODES, (code, err)
     assert "Traceback" not in err
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=config_text(), argv=arguments())
+def test_any_config_and_arguments_end_in_a_documented_exit_code(tmp_path, capsys, text, argv):
+    assert_documented_exit(tmp_path, capsys, text, argv)
+
+
+@st.composite
+def tuning_arguments(draw) -> list[str]:
+    """Small tuning runs. Sizes are mostly in range, so that most valid
+    configs reach the tuners, and sometimes one below its minimum."""
+    command = draw(st.sampled_from(["sweep", "compare", "optimize", "boundary"]))
+    if command == "compare":
+        return ["compare"]
+    loss = st.one_of(LOSS_TEXT, LOSS_TEXT, NUMBER_TEXT)
+    if command == "sweep":
+        steps = draw(st.sampled_from([2, 3] * 3 + [-1, 1]))
+        return ["sweep", "--loss-min", draw(loss), "--loss-max", draw(loss), "--steps", str(steps)]
+    if command == "optimize":
+        target = draw(st.sampled_from(["sps", "wcp"]))
+        seed = draw(st.integers(-1, 2**70))
+        population = draw(st.sampled_from([4, 5, 6] * 3 + [0, 3]))
+        generations = draw(st.sampled_from([0, 1, 2] * 3 + [-1]))
+        return [
+            "optimize", "--target", target, "--seed", str(seed),
+            "--population", str(population), "--generations", str(generations),
+        ]
+    points = draw(st.sampled_from([2, 3] * 3 + [-1, 1]))
+    return ["boundary", "--mode", "finite", "--loss", draw(loss), "--grid-points", str(points)]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=config_text(), argv=tuning_arguments())
+def test_tuning_subcommands_end_in_a_documented_exit_code(tmp_path, capsys, text, argv):
+    assert_documented_exit(tmp_path, capsys, text, argv)

@@ -1,5 +1,6 @@
 """Tuned SPS-versus-WCP comparison, sweeps and break-even boundaries."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,6 @@ from keyrates.finite_key.comparison import (
     WCP_P_SIGNAL_GRID,
     WCP_RECEIVER_Z_RATIO,
     _golden_max,
-    _golden_max_lanes,
     _tune_sps,
     _tune_wcp,
     advantage_db,
@@ -118,15 +118,53 @@ class TestOptimizedRates:
     def test_wcp_lane_tuner_matches_single_loss_tuner(self, concentration):
         # At 50 dB every grid point scores 0 and the first one must win.
         losses = [0.0, 14.6, 30.0, 50.0]
-        tuned = _tune_wcp(losses, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, concentration)
-        assert tuned == _single_loss_wcp(FIELD_CHANNEL, FIELD_PROTO, losses, concentration)
+        with _scored_wcp_points() as points:
+            tuned = _tune_wcp(losses, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, concentration)
+            assert tuned == _single_loss_wcp(FIELD_CHANNEL, FIELD_PROTO, losses, concentration)
         assert tuned[-1][0] == 0.0 and tuned[0][0] > 0.0
+        _assert_valid_wcp_points(points["float"])
+        _assert_valid_wcp_points(points["lanes"])
 
     def test_sps_tuner_rejects_wcp_source(self):
         with pytest.raises(ValueError):
             optimized_sps_rate(
                 SourceSpec(SourceKind.WCP, 0.5), FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC
             )
+
+
+@contextmanager
+def _scored_wcp_points():
+    """Record every ``(mu_s, mu_d, p_s, p_d)`` the WCP tuners score, as
+    ``{"float": [...], "lanes": [...]}``: the points of the float scorer
+    and the arguments of each lane scorer call."""
+    points = {"float": [], "lanes": []}
+    float_score, lane_scorer = comparison._wcp_rate_or_zero, comparison._wcp_lanes
+
+    def recorded_float_score(mu_s, mu_d, p_s, p_d, *rest):
+        points["float"].append((mu_s, mu_d, p_s, p_d))
+        return float_score(mu_s, mu_d, p_s, p_d, *rest)
+
+    def recorded_lane_scorer(*args):
+        lanes = lane_scorer(*args)
+
+        def rates(mu_s, mu_d, p_s, p_d, q_z_tx):
+            points["lanes"].append((mu_s, mu_d, p_s, p_d))
+            return lanes(mu_s, mu_d, p_s, p_d, q_z_tx)
+
+        return rates
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(comparison, "_wcp_rate_or_zero", recorded_float_score)
+        patch.setattr(comparison, "_wcp_lanes", recorded_lane_scorer)
+        yield points
+
+
+def _assert_valid_wcp_points(points):
+    """Every point, float or lanes, has 0 < mu_d < mu_s, 0 < p_s < 1 and 0 < p_d < 1 - p_s."""
+    assert points
+    for mu_s, mu_d, p_s, p_d in points:
+        assert np.all((0.0 < mu_d) & (mu_d < mu_s) & (0.0 < p_s) & (p_s < 1.0))
+        assert np.all((0.0 < p_d) & (p_d < 1.0 - p_s))
 
 
 def _single_loss_wcp(channel, proto, losses, concentration):
@@ -154,8 +192,27 @@ def test_wcp_lane_tuner_matches_single_loss_tuner_on_any_link(
         FIELD_CHANNEL, dark_count_rate_cps=dark_count_rate, misalignment_prob=misalignment
     )
     proto = replace(FIELD_PROTO, block_size=10.0**log_block)
-    tuned = _tune_wcp(losses, channel, proto, FIELD_SEC, concentration)
-    assert tuned == _single_loss_wcp(channel, proto, losses, concentration)
+    with _scored_wcp_points() as points:
+        tuned = _tune_wcp(losses, channel, proto, FIELD_SEC, concentration)
+        assert tuned == _single_loss_wcp(channel, proto, losses, concentration)
+    _assert_valid_wcp_points(points["float"])
+    _assert_valid_wcp_points(points["lanes"])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_wcp_refinement_bounds_keep_every_probe_valid(sign):
+    # A score monotone in every coordinate drives each search to one end
+    # of its bounds: from every seed point as a lane, and from one on floats.
+    rows, columns = comparison._wcp_seed_grid()
+    for start in (columns, rows[0]):
+        points = []
+
+        def score(mu_s, mu_d, p_s, p_d, q_tx):
+            points.append((mu_s, mu_d, p_s, p_d))
+            return sign * (mu_s + mu_d + p_s + p_d)
+
+        comparison._refine_wcp(score, *start)
+        _assert_valid_wcp_points(points)
 
 
 def test_golden_lanes_with_per_lane_bounds_match_single_searches():
@@ -169,7 +226,7 @@ def test_golden_lanes_with_per_lane_bounds_match_single_searches():
     def lanes(x):
         return np.minimum(-((x - peaks) ** 2), caps)
 
-    best, value = _golden_max_lanes(lanes, lo, hi, peaks.shape, 20)
+    best, value = _golden_max(lanes, lo, hi, 20)
     for i in range(peaks.size):
         alone = _golden_max(
             lambda x: min(-((x - peaks[i]) ** 2), caps[i]), float(lo[i]), float(hi[i]), 20

@@ -2,8 +2,9 @@
 
 The expected files in ``tests/data`` hold the outputs of the code
 before each protocol's scalar and array key lengths became one
-implementation, and ``simulate``'s output before its child streams
-were seeded in one array pass. Every number must agree within 1e-12
+implementation, ``simulate``'s output before its child streams were
+seeded in one array pass, and the ``optimize`` and finite ``boundary``
+outputs before the float and lane golden-section searches became one. Every number must agree within 1e-12
 relative rather than exactly, because NumPy's ``exp`` and ``log2`` may
 round differently on another CPU; the text between numbers must match
 exactly.
@@ -44,6 +45,12 @@ def wcp_config(tmp_path) -> str:
         (
             ["sweep", "{field}", "--loss-min", "0", "--loss-max", "30", "--steps", "31"],
             "field_sweep_0_30_31.csv",
+        ),
+        (["optimize", "{field}", "--target", "sps", "--seed", "7"], "field_optimize_sps_7.txt"),
+        (["optimize", "{field}", "--target", "wcp", "--seed", "7"], "field_optimize_wcp_7.txt"),
+        (
+            ["boundary", "{field}", "--mode", "finite", "--loss", "0"],
+            "field_boundary_finite_0.csv",
         ),
     ],
 )
