@@ -33,7 +33,6 @@ from .asymptotic import (
     boundary_g2,
     boundary_min_mean,
     eta_threshold,
-    fundamental_bounds,
     sps_asymptotic_rate,
     sps_rate_fixed_mean,
     wcp_asymptotic_rate,

@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-BISECTION_ITERATIONS = 80
-RATE_MATCH_RTOL = 1e-9
 # Above e/2 the pre-attenuated branch is below eta/e for every eta <= 1,
-# so the break-even g2 always lies inside [0, G2_SEARCH_CAP].
+# so the break-even g2 always lies inside [0, G2_SEARCH_CAP]; it reaches
+# the cap only where eta underflows to 0.
 G2_SEARCH_CAP = math.e / 2.0
 
 
@@ -57,20 +56,19 @@ def eta_threshold(n_mean: float, g2: float) -> float:
     """Transmittance below which pre-attenuation beats the bare source.
 
     With ``x = g2 <n>``, this is the smaller root of
-    ``x eta^2 - eta + x = 0``. For ``x > 1/2`` the discriminant is
-    negative, the pre-attenuated branch applies everywhere, and the
-    threshold saturates at 1.
+    ``x eta^2 - eta + x = 0``, written as ``2x / (1 + sqrt(1 - 4x^2))``
+    so that no digits cancel as x shrinks. For ``x > 1/2`` the
+    discriminant is negative, the pre-attenuated branch applies
+    everywhere, and the threshold saturates at 1.
     """
     if n_mean <= 0:
         raise ValueError(f"n_mean must be > 0, got {n_mean}")
     if g2 < 0:
         raise ValueError(f"g2 must be >= 0, got {g2}")
     x = g2 * n_mean
-    if x == 0.0:
-        return 0.0
     if x > 0.5:
         return 1.0
-    return (1.0 - math.sqrt(1.0 - 4.0 * x * x)) / (2.0 * x)
+    return 2.0 * x / (1.0 + math.sqrt(1.0 - 4.0 * x * x))
 
 
 def sps_rate_fixed_mean(eta: float, n_mean: float, g2: float) -> float:
@@ -92,32 +90,25 @@ def sps_asymptotic_rate(eta: float, n_mean: float, g2: float) -> float:
     return eta * eta / (2.0 * g2 * (eta * eta + 1.0))
 
 
-def fundamental_bounds() -> tuple[float, float]:
-    """Zero-loss advantage bounds: ``(<n>_min, g2_max) = (1/e, e/4)``."""
-    return 1.0 / math.e, math.e / 4.0
-
-
 def boundary_g2(loss_db: float, n_mean: float) -> float | None:
     """Largest g2 at which the SPS still matches the WCP ceiling.
 
-    Returns None when even a perfect source (g2 = 0) falls short.
-    Solved by bisection; the SPS rate is strictly decreasing in g2 so
-    the root is unique.
+    Returns None when even a perfect source (g2 = 0) falls short. The
+    SPS rate is strictly decreasing in g2, so the root is unique, and it
+    has a closed form: up to ``<n> = 2/e`` the root lies on the
+    fixed-mean branch, ``2 (<n> eta - eta/e) / (<n>^2 (eta^2 + 1))``;
+    above it, on the pre-attenuated branch, ``e eta / (2 (eta^2 + 1))``
+    whatever ``<n>``.
     """
     eta = 10.0 ** (-loss_db / 10.0)
     target = wcp_asymptotic_rate(eta)
     if sps_asymptotic_rate(eta, n_mean, 0.0) < target:
         return None
-    lo, hi = 0.0, G2_SEARCH_CAP
-    if sps_asymptotic_rate(eta, n_mean, hi) >= target:
-        return hi
-    for _ in range(BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if sps_asymptotic_rate(eta, n_mean, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if sps_asymptotic_rate(eta, n_mean, G2_SEARCH_CAP) >= target:
+        return G2_SEARCH_CAP
+    if n_mean <= 2.0 / math.e:
+        return 2.0 * (n_mean * eta - target) / (n_mean * n_mean * (eta * eta + 1.0))
+    return math.e * eta / (2.0 * (eta * eta + 1.0))
 
 
 def boundary_min_mean(loss_db: float) -> float:

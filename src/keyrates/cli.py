@@ -45,7 +45,7 @@ from .finite_key.comparison import (
 from .finite_key.core import _sps_lanes
 from .finite_key.wcp import _wcp_lanes
 from .montecarlo import TooManyPulses, TrialSpec, _trial_arrays
-from .optimizer import GASettings, SearchSpace, optimize
+from .optimizer import ELITE_COUNT, GASettings, SearchSpace, optimize
 from .photon_source import NORMALIZATION_TOL, NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 
 
@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--seed", type=_int_in_range(0), default=0)
     p_opt.add_argument(
         "--population",
-        type=_int_in_range(GASettings.elite_count + 2, MAX_POPULATION),
+        type=_int_in_range(ELITE_COUNT + 2, MAX_POPULATION),
         default=50,
     )
     p_opt.add_argument("--generations", type=_int_in_range(0), default=200)

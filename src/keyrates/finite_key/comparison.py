@@ -303,7 +303,8 @@ def optimized_wcp_rate(
 
     Coarse grid scan followed by coordinate-wise golden refinement.
     In asymptotic mode the decoy estimation is exact, so only the
-    signal intensity and basis ratio matter. In finite mode the
+    signal intensity is searched, at the largest ``Q_TX_GRID`` basis
+    ratio. In finite mode the
     comparator runs on the conventional 50:50 receiver split
     (``WCP_RECEIVER_Z_RATIO``) rather than the single-photon
     receiver's 9:1 optics.
@@ -315,17 +316,14 @@ def optimized_wcp_rate(
     once.
     """
     if asymptotic:
-        best = (-1.0, 1.0, proto.q_z_tx)
-        for q_tx in Q_TX_GRID:
-            cfg = replace(proto, q_z_tx=q_tx)
-            mu, rate = _golden_max(
-                lambda m: wcp_asymptotic_practical_rate(m, channel, cfg, sec), 1e-3, 1.0
-            )
-            if rate > best[0]:
-                best = (rate, mu, q_tx)
-        rate, mu, q_tx = best
+        # The rate is q_z_tx q_z_rx times a function of mu alone, so the
+        # largest basis ratio wins at every mu.
+        cfg = replace(proto, q_z_tx=max(Q_TX_GRID))
+        mu, rate = _golden_max(
+            lambda m: wcp_asymptotic_practical_rate(m, channel, cfg, sec), 1e-3, 1.0
+        )
         intensities = WcpIntensities(mu_signal=mu, mu_decoy=mu / 2.0, p_signal=1.0, p_decoy=0.0)
-        return max(rate, 0.0), intensities, replace(proto, q_z_tx=q_tx)
+        return rate, intensities, cfg
 
     proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
 
@@ -356,13 +354,11 @@ def compare(
     """
     steps = int(CROSSOVER_SCAN_MAX_DB / CROSSOVER_SCAN_STEP_DB)
     losses = [i * CROSSOVER_SCAN_STEP_DB for i in range(steps + 1)]
-    # The configured loss and the whole scan tune each side in one call.
-    n_mean, g2 = _sps_parameters(source)
-    tuned_losses = [channel.channel_loss_db, *losses]
-    r_sps, *scan_sps = _tune_sps(n_mean, g2, tuned_losses, channel, proto, sec)[0].tolist()
-    tuned_wcp = _tune_wcp(tuned_losses, channel, proto, sec, concentration)
-    r_wcp, *scan_wcp = [rate for rate, _, _ in tuned_wcp]
-    scan = tuple(zip(losses, scan_sps, scan_wcp))
+    # The configured loss and the whole scan are one sweep.
+    (_, r_sps, r_wcp, advantage), *rows = sweep_rates(
+        source, channel, proto, sec, [channel.channel_loss_db, *losses], concentration
+    )
+    scan = tuple((loss, s, w) for loss, s, w, _ in rows)
     margins = [s - w for _, s, w in scan]
     if max(margins) <= 0.0:
         raise NoCrossover(
@@ -391,7 +387,7 @@ def compare(
         loss_db=channel.channel_loss_db,
         r_sps=r_sps,
         r_wcp=r_wcp,
-        advantage_db=advantage_db(r_sps, r_wcp),
+        advantage_db=advantage,
         crossover_loss_db=crossover,
         scan=scan,
     )

@@ -1,8 +1,8 @@
 """Genetic-algorithm maximisation of key rates over protocol parameters.
 
 A plain generational GA: tournament selection, uniform crossover,
-per-gene Gaussian mutation, elitism, and an optional deterministic
-coordinate refinement of the final best candidate. The objective must
+per-gene Gaussian mutation, elitism, and a deterministic coordinate
+refinement of the final best candidate. The objective must
 be total (return 0 for infeasible points instead of raising); runs are
 bit-for-bit reproducible for a fixed seed. An optional array scorer
 rates a whole population in one call.
@@ -16,6 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .finite_key.comparison import _golden_max
+
+# Hyperparameters of the genetic search. They are conventional; the
+# search is not sensitive to them on the smooth rate surfaces optimised
+# here.
+STAGNATION_LIMIT = 30
+TOURNAMENT_SIZE = 3
+CROSSOVER_PROB = 0.7
+MUTATION_PROB = 0.1
+MUTATION_SIGMA_FRACTION = 0.1
+ELITE_COUNT = 2
 
 
 @dataclass(frozen=True)
@@ -76,34 +86,15 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class GASettings:
-    """Hyperparameters of the genetic search.
-
-    Defaults are conventional; the search itself is not sensitive to
-    them for the smooth rate surfaces optimised here. ``polish`` runs a
-    deterministic golden-section pass per coordinate on the final best
-    candidate, which sharpens the optimum well below the mutation scale.
-    """
+    """Size, length and seed of one genetic search."""
 
     population_size: int = 50
     max_generations: int = 200
-    stagnation_limit: int = 30
-    tournament_size: int = 3
-    crossover_prob: float = 0.7
-    mutation_prob: float = 0.1
-    mutation_sigma_fraction: float = 0.1
-    elite_count: int = 2
     seed: int = 0
-    polish: bool = True
 
     def __post_init__(self) -> None:
-        if self.population_size < self.elite_count + 2:
-            raise ValueError("population_size must be >= elite_count + 2")
-        for name in ("crossover_prob", "mutation_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
+        if self.population_size < ELITE_COUNT + 2:
+            raise ValueError(f"population_size must be >= {ELITE_COUNT + 2}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +138,8 @@ def optimize(
         return np.array([objective(space.decode(row)) for row in pop])
 
     fitness = evaluate(population)
-    n_children = pop_size - settings.elite_count
-    sigma = settings.mutation_sigma_fraction * span
+    n_children = pop_size - ELITE_COUNT
+    sigma = MUTATION_SIGMA_FRACTION * span
     history: list[float] = []
     stagnant = 0
     best_so_far = -np.inf
@@ -165,21 +156,21 @@ def optimize(
             stagnant = 0
         else:
             stagnant += 1
-            if stagnant >= settings.stagnation_limit:
+            if stagnant >= STAGNATION_LIMIT:
                 break
 
-        elites = population[: settings.elite_count].copy()
+        elites = population[:ELITE_COUNT].copy()
         children = np.empty((n_children, n_genes))
         for i in range(n_children):
             # Population is sorted by fitness, so the tournament winner
             # is the lowest drawn index.
-            parent_a = population[rng.integers(0, pop_size, settings.tournament_size).min()]
-            parent_b = population[rng.integers(0, pop_size, settings.tournament_size).min()]
+            parent_a = population[rng.integers(0, pop_size, TOURNAMENT_SIZE).min()]
+            parent_b = population[rng.integers(0, pop_size, TOURNAMENT_SIZE).min()]
             child = parent_a.copy()
-            if rng.random() < settings.crossover_prob:
+            if rng.random() < CROSSOVER_PROB:
                 mask = rng.random(n_genes) < 0.5
                 child[mask] = parent_b[mask]
-            mutate = rng.random(n_genes) < settings.mutation_prob
+            mutate = rng.random(n_genes) < MUTATION_PROB
             if mutate.any():
                 # The same draws as rng.normal(0.0, sigma).
                 noise = rng.standard_normal(n_genes) * sigma
@@ -187,16 +178,13 @@ def optimize(
             children[i] = np.minimum(np.maximum(child, lows), highs)
 
         population = np.vstack([elites, children])
-        fitness = np.concatenate([fitness[: settings.elite_count], evaluate(children)])
+        fitness = np.concatenate([fitness[:ELITE_COUNT], evaluate(children)])
 
     order = np.argsort(-fitness, kind="stable")
     best_genes = population[order[0]].copy()
     best_rate = float(fitness[order[0]])
 
-    if settings.polish:
-        best_genes, best_rate = _coordinate_polish(
-            objective, space, best_genes, best_rate, lows, highs
-        )
+    best_genes, best_rate = _coordinate_polish(objective, space, best_genes, best_rate, lows, highs)
     history.append(best_rate)
 
     return OptimizationResult(
@@ -213,20 +201,19 @@ def _coordinate_polish(
     best: float,
     lows: np.ndarray,
     highs: np.ndarray,
-    passes: int = 2,
-    iterations: int = 40,
 ) -> tuple[np.ndarray, float]:
-    """Golden-section refinement of each gene in turn; deterministic."""
+    """Two passes of golden-section refinement of each gene in turn;
+    deterministic, and sharper than the mutation scale."""
 
     def value(i: int, x: float) -> float:
         trial = genes.copy()
         trial[i] = x
         return objective(space.decode(trial))
 
-    for _ in range(passes):
+    for _ in range(2):
         for i in range(len(genes)):
             candidate, improved = _golden_max(
-                lambda x: value(i, x), float(lows[i]), float(highs[i]), iterations
+                lambda x: value(i, x), float(lows[i]), float(highs[i]), 40
             )
             if improved > best:
                 genes[i] = candidate

@@ -1,6 +1,7 @@
 """Asymptotic rate formulas and the coherent-state advantage boundary."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from keyrates.asymptotic import (
     boundary_g2,
     boundary_min_mean,
     eta_threshold,
-    fundamental_bounds,
     sps_asymptotic_rate,
     sps_rate_fixed_mean,
     wcp_asymptotic_rate,
@@ -69,6 +69,23 @@ class TestEtaThreshold:
     def test_zero_g2(self):
         assert eta_threshold(1.0, 0.0) == 0.0
 
+    def test_small_x_keeps_its_digits(self):
+        # (1 - sqrt(1 - 4x^2)) / (2x) cancels as x shrinks and reaches 0
+        # by x = 1e-10; 2x / (1 + sqrt(1 - 4x^2)) is the same root.
+        for k in range(1, 16):
+            x = 10.0**-k
+            with localcontext() as ctx:
+                ctx.prec = 60
+                x_d = Decimal(x)
+                exact = 2 * x_d / (1 + (1 - 4 * x_d * x_d).sqrt())
+            assert eta_threshold(1.0, x) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+    def test_small_x_takes_the_attenuated_branch(self):
+        # eta = 1e-10 lies below eta_th(1, 2e-10) ~ 2e-10, so the source
+        # is pre-attenuated; a threshold cancelled to 0 would pick the
+        # fixed-mean branch, whose rate is 0 here.
+        assert sps_asymptotic_rate(1e-10, 1.0, 2e-10) == pytest.approx(2.5e-11, rel=1e-12)
+
 
 class TestSpsAsymptoticRate:
     def test_ideal_source_is_linear(self):
@@ -92,22 +109,17 @@ class TestSpsAsymptoticRate:
 
 
 class TestFundamentalBounds:
-    def test_values(self):
-        n_min, g2_max = fundamental_bounds()
-        assert n_min == pytest.approx(0.367879441171, abs=1e-12)
-        assert g2_max == pytest.approx(0.679570457115, abs=1e-12)
+    # At zero loss the advantage needs <n> >= 1/e and g2 <= e/4.
 
     def test_zero_loss_break_even_at_min_mean(self):
-        n_min, _ = fundamental_bounds()
-        assert sps_asymptotic_rate(1.0, n_min, 0.0) == pytest.approx(
+        assert sps_asymptotic_rate(1.0, 1.0 / math.e, 0.0) == pytest.approx(
             wcp_asymptotic_rate(1.0), rel=1e-12
         )
 
     def test_branch_two_break_even_at_max_g2(self):
         # At eta = 1 the attenuated branch is 1/(4 g2); equating to 1/e
         # gives g2 = e/4.
-        _, g2_max = fundamental_bounds()
-        assert sps_asymptotic_rate(1.0, 2.0, g2_max) == pytest.approx(
+        assert sps_asymptotic_rate(1.0, 2.0, math.e / 4.0) == pytest.approx(
             wcp_asymptotic_rate(1.0), rel=1e-12
         )
 
@@ -159,9 +171,8 @@ class TestBranchStructure:
 class TestAdvantageBoundary:
     def test_zero_loss_endpoints(self):
         curve = advantage_boundary(0.0, [0.4, 0.5, 0.7, 1.0, 1.5, 2.0])
-        n_min, g2_max = fundamental_bounds()
-        assert curve.min_mean_photon_number == pytest.approx(n_min, abs=1e-6)
-        assert curve.max_g2 == pytest.approx(g2_max, abs=1e-6)
+        assert curve.min_mean_photon_number == pytest.approx(1.0 / math.e, abs=1e-6)
+        assert curve.max_g2 == pytest.approx(math.e / 4.0, abs=1e-6)
 
     def test_zero_loss_mean_one_is_on_the_plateau(self):
         # g2 <n> > 1/2 at the root, so the attenuated branch fixes the
@@ -192,6 +203,33 @@ class TestAdvantageBoundary:
     def test_empty_curve(self):
         with pytest.raises(EmptyCurve):
             advantage_boundary(0.0, [0.05, 0.1, 0.2])
+
+    @pytest.mark.parametrize("loss_db", [80.0, 100.0, 200.0])
+    def test_high_loss_points_are_the_break_even_root(self, loss_db):
+        # The CLI's default 25-point grid.
+        grid = [0.05 * (1.2 / 0.05) ** (i / 24) for i in range(25)]
+        curve = advantage_boundary(loss_db, grid)
+        eta = 10.0 ** (-loss_db / 10.0)
+        assert curve.points[0] == (boundary_min_mean(loss_db), 0.0)
+        assert len(curve.points) == 1 + sum(n > 1.0 / math.e for n in grid)
+        for n_mean, g2 in curve.points[1:]:
+            root = float(decimal_break_even_g2(eta, n_mean))
+            assert g2 == pytest.approx(root, rel=1e-12, abs=0.0), n_mean
+
+
+def decimal_break_even_g2(eta: float, n_mean: float) -> Decimal:
+    """The g2 at which the SPS rate meets eta / e, to 60 digits.
+
+    Up to <n> = 2/e the root lies on the fixed-mean branch, above it on
+    the pre-attenuated one.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(1).exp()
+        eta, n_mean = Decimal(eta), Decimal(n_mean)
+        if n_mean <= 2 / e:
+            return 2 * (n_mean * eta - eta / e) / (n_mean * n_mean * (eta * eta + 1))
+        return e * eta / (2 * (eta * eta + 1))
 
 
 @settings(max_examples=200)

@@ -28,8 +28,8 @@ class TestMechanics:
         assert first.history == second.history
 
     def test_different_seeds_explore_differently(self):
-        a = optimize(quadratic_objective, SPACE_2D, GASettings(seed=1, max_generations=5, polish=False))
-        b = optimize(quadratic_objective, SPACE_2D, GASettings(seed=2, max_generations=5, polish=False))
+        a = optimize(quadratic_objective, SPACE_2D, GASettings(seed=1, max_generations=5))
+        b = optimize(quadratic_objective, SPACE_2D, GASettings(seed=2, max_generations=5))
         assert a.history != b.history
 
     def test_history_is_non_decreasing(self):
@@ -64,7 +64,7 @@ class TestMechanics:
             seen.append(params)
             return params["a"]
 
-        result = optimize(objective, space, GASettings(seed=11, max_generations=10, polish=False))
+        result = optimize(objective, space, GASettings(seed=11, max_generations=10))
         for params in seen:
             assert params["a"] + params["b"] + params["c"] == pytest.approx(1.0, abs=1e-12)
         assert result.best_params["a"] <= 1.0
@@ -83,7 +83,7 @@ class TestMechanics:
 
     def test_population_floor(self):
         with pytest.raises(ValueError):
-            GASettings(population_size=3, elite_count=2)
+            GASettings(population_size=3)
 
 
 class TestKnownOptima:

@@ -3,8 +3,10 @@
 The expected files in ``tests/data`` hold the outputs of the code
 before each protocol's scalar and array key lengths became one
 implementation, ``simulate``'s output before its child streams were
-seeded in one array pass, and the ``optimize`` and finite ``boundary``
-outputs before the float and lane golden-section searches became one. Every number must agree within 1e-12
+seeded in one array pass, the ``optimize`` and finite ``boundary``
+outputs before the float and lane golden-section searches became one,
+and the asymptotic ``boundary`` outputs before its bisection became the
+closed-form root. Every number must agree within 1e-12
 relative rather than exactly, because NumPy's ``exp`` and ``log2`` may
 round differently on another CPU; the text between numbers must match
 exactly.
@@ -51,6 +53,14 @@ def wcp_config(tmp_path) -> str:
         (
             ["boundary", "{field}", "--mode", "finite", "--loss", "0"],
             "field_boundary_finite_0.csv",
+        ),
+        (
+            ["boundary", "{field}", "--mode", "asymptotic", "--loss", "0"],
+            "field_boundary_asymptotic_0.csv",
+        ),
+        (
+            ["boundary", "{field}", "--mode", "asymptotic", "--loss", "14.6"],
+            "field_boundary_asymptotic_14.6.csv",
         ),
     ],
 )
