@@ -59,6 +59,13 @@ CROSSOVER_SCAN_MAX_DB = 30.0
 CROSSOVER_SCAN_STEP_DB = 1.0
 BOUNDARY_BISECTION_ITERATIONS = 40
 
+# ITP crossover search: it ends at a bracket no wider than 2 * _ITP_EPS,
+# the width 14 bisection steps leave of a scan step, in <= 14 + _ITP_N0 probes.
+_ITP_EPS = 2.0**-15
+_ITP_N0 = 1
+_ITP_KAPPA1 = 0.2
+_ITP_KAPPA2 = 2.0
+
 
 class NoCrossover(RuntimeError):
     """Raised when the SPS rate never exceeds the WCP rate on the scan."""
@@ -113,6 +120,31 @@ def _golden_max(f, lo, hi, iterations: int = 30):
         fc, fd = where(left, fx, fd), where(left, fc, fx)
     best = 0.5 * (a + b)
     return best, f(best)
+
+
+def _itp_bracket(margin, lo, hi, m_lo, m_hi) -> tuple[float, float]:
+    """Narrow the bracket of a falling ``margin`` by the ITP method.
+
+    ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) moves the regula
+    falsi point toward the midpoint, then into the window that keeps the
+    bisection's worst case. ``m_lo = margin(lo) > 0 >= m_hi =
+    margin(hi)``; every probe lies strictly inside the bracket, and one
+    with margin > 0 moves ``lo``. With ``_ITP_N0 = 0`` it bisects.
+    """
+    n_max = math.ceil(math.log2((hi - lo) / (2.0 * _ITP_EPS))) + _ITP_N0
+    j = 0
+    while hi - lo > 2.0 * _ITP_EPS:
+        mid = 0.5 * (lo + hi)
+        falsi = lo + (hi - lo) * m_lo / (m_lo - m_hi)
+        sigma = math.copysign(1.0, mid - falsi)
+        delta = _ITP_KAPPA1 * (hi - lo) ** _ITP_KAPPA2
+        x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        radius = _ITP_EPS * 2.0 ** (n_max - j) - 0.5 * (hi - lo)
+        x = x if abs(x - mid) <= radius else mid - sigma * radius
+        m = margin(x)
+        lo, m_lo, hi, m_hi = (x, m, hi, m_hi) if m > 0.0 else (lo, m_lo, x, m)
+        j += 1
+    return lo, hi
 
 
 def _sps_rate_or_zero(n_mean, g2, channel, proto, sec, asymptotic) -> float:
@@ -346,11 +378,13 @@ def compare(
 
     The advantage is evaluated at the configured channel loss; the
     crossover is located by scanning losses up to
-    ``CROSSOVER_SCAN_MAX_DB`` and bisecting the sign change of the rate
-    margin ``r_sps - r_wcp``. Where the margin falls from > 0 to <= 0
-    between scan steps more than once, the last such bracket is
-    bisected. Raises ``NoCrossover`` when the SPS never leads on the
-    scan, or leads at its end.
+    ``CROSSOVER_SCAN_MAX_DB`` and narrowing the sign change of the rate
+    margin ``r_sps - r_wcp`` to 2**-14 dB with ``_itp_bracket``, whose
+    end margins come from the scan; the crossover is the midpoint.
+    Where the margin falls from > 0 to <= 0 between scan steps more
+    than once, the last such bracket is searched. Raises
+    ``NoCrossover`` when the SPS never leads on the scan, or leads at
+    its end.
     """
     steps = int(CROSSOVER_SCAN_MAX_DB / CROSSOVER_SCAN_STEP_DB)
     losses = [i * CROSSOVER_SCAN_STEP_DB for i in range(steps + 1)]
@@ -364,23 +398,19 @@ def compare(
         raise NoCrossover(
             f"SPS never exceeds WCP for losses in [0, {CROSSOVER_SCAN_MAX_DB}] dB"
         )
-    bracket = None
-    for i in range(len(losses) - 1):
-        if margins[i] > 0.0 >= margins[i + 1]:
-            bracket = (losses[i], losses[i + 1])
-    if bracket is None:
+    falls = [i for i in range(len(losses) - 1) if margins[i] > 0.0 >= margins[i + 1]]
+    if not falls:
         raise NoCrossover("SPS advantage persists across the whole scanned range")
-    lo, hi = bracket
-    # One loss per step, tuned on floats: a one-lane array tuner call
+    i = falls[-1]
+
+    # One loss per probe, tuned on floats: a one-lane array tuner call
     # costs several float calls.
-    for _ in range(14):
-        mid = 0.5 * (lo + hi)
-        ch = replace(channel, channel_loss_db=mid)
+    def margin(loss: float) -> float:
+        ch = replace(channel, channel_loss_db=loss)
         s, _ = optimized_sps_rate(source, ch, proto, sec)
-        if s - optimized_wcp_rate(ch, proto, sec, concentration=concentration)[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        return s - optimized_wcp_rate(ch, proto, sec, concentration=concentration)[0]
+
+    lo, hi = _itp_bracket(margin, losses[i], losses[i + 1], margins[i], margins[i + 1])
     crossover = 0.5 * (lo + hi)
 
     return CompareReport(

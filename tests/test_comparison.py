@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyrates.asymptotic import EmptyCurve
@@ -332,6 +332,57 @@ def _scalar_wcp_tuner(channel, proto, sec, concentration):
     return max(best_rate, 0.0), intensities, replace(proto, q_z_tx=q_tx)
 
 
+def _cubic_sps(loss):
+    return 1.0 - (loss - 5.3) * (loss - 11.6) * (loss - 20.7) * 1e-3
+
+
+def _step_sps(loss):
+    # Lopsided: the regula falsi point sits next to 21 dB, far from the jump.
+    return 2.0 if loss < 20.3 else 1.0 - 1e-6
+
+
+def _kink_sps(loss):
+    # Steep down to 20.05 dB, then shallow to the root at 20.9 dB.
+    return 1.0 + max(20.05 - loss, 1e-3 * (20.9 - loss))
+
+
+_SYNTHETIC_SPS = [_cubic_sps, _step_sps, _kink_sps]
+_SYNTHETIC_IDS = ["cubic", "step", "kink"]
+
+
+def _compare_on_synthetic_margin(monkeypatch, sps):
+    """``compare`` with both tuners replaced: r_sps = sps(loss), r_wcp = 1.
+
+    Each synthetic margin falls through 0 last between 20 and 21 dB.
+    Returns the report and the losses the crossover search probed.
+    """
+    probes = []
+
+    def optimized_sps(source, channel, proto, sec):
+        probes.append(channel.channel_loss_db)
+        return sps(channel.channel_loss_db), proto
+
+    def tune_sps(n_mean, g2, losses, *rest):
+        return (np.array([sps(loss) for loss in losses]),)
+
+    monkeypatch.setattr(comparison, "_tune_sps", tune_sps)
+    monkeypatch.setattr(
+        comparison, "_tune_wcp", lambda losses, *rest: [(1.0, None, 0.9) for _ in losses]
+    )
+    monkeypatch.setattr(comparison, "optimized_sps_rate", optimized_sps)
+    monkeypatch.setattr(comparison, "optimized_wcp_rate", lambda *a, **k: (1.0, None, None))
+    return compare(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC), probes
+
+
+def _brackets(sps, probes):
+    """The [20, 21] dB bracket before each probe, then the final one."""
+    brackets = [(20.0, 21.0)]
+    for loss in probes:
+        lo, hi = brackets[-1]
+        brackets.append((loss, hi) if sps(loss) - 1.0 > 0.0 else (lo, loss))
+    return brackets
+
+
 class TestCompare:
     def test_field_numbers(self):
         report = compare(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
@@ -347,30 +398,44 @@ class TestCompare:
     def test_last_down_crossing_is_bisected(self, monkeypatch):
         # A synthetic margin r_sps - r_wcp that falls through 0 at 5.3 dB
         # and again at 20.7 dB, rising in between.
-        def sps(loss):
-            return 1.0 - (loss - 5.3) * (loss - 11.6) * (loss - 20.7) * 1e-3
-
-        probes = []
-
-        def optimized_sps(source, channel, proto, sec):
-            probes.append(channel.channel_loss_db)
-            return sps(channel.channel_loss_db), proto
-
-        def tune_sps(n_mean, g2, losses, *rest):
-            return (np.array([sps(loss) for loss in losses]),)
-
-        monkeypatch.setattr(comparison, "_tune_sps", tune_sps)
-        monkeypatch.setattr(
-            comparison, "_tune_wcp", lambda losses, *rest: [(1.0, None, 0.9) for _ in losses]
-        )
-        monkeypatch.setattr(comparison, "optimized_sps_rate", optimized_sps)
-        monkeypatch.setattr(comparison, "optimized_wcp_rate", lambda *a, **k: (1.0, None, None))
-        report = compare(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        report, probes = _compare_on_synthetic_margin(monkeypatch, _cubic_sps)
         margins = [s - w for _, s, w in report.scan]
         falls = [i for i in range(len(margins) - 1) if margins[i] > 0.0 >= margins[i + 1]]
         assert falls == [5, 20]
-        assert len(probes) == 14 and all(20.0 < loss < 21.0 for loss in probes)
+        assert len(probes) <= 15 and all(20.0 < loss < 21.0 for loss in probes)
         assert report.crossover_loss_db == pytest.approx(20.7, abs=2.0**-14)
+
+    @pytest.mark.parametrize("sps", [_step_sps, _kink_sps], ids=["step", "kink"])
+    def test_non_smooth_margin_takes_at_most_15_probes(self, monkeypatch, sps):
+        _, probes = _compare_on_synthetic_margin(monkeypatch, sps)
+        assert len(probes) <= 15  # n_1/2 + n0 = 14 + 1
+
+    @pytest.mark.parametrize("sps", _SYNTHETIC_SPS, ids=_SYNTHETIC_IDS)
+    def test_every_probe_lies_inside_the_current_bracket(self, monkeypatch, sps):
+        _, probes = _compare_on_synthetic_margin(monkeypatch, sps)
+        assert all(lo < loss < hi for loss, (lo, hi) in zip(probes, _brackets(sps, probes)))
+
+    @pytest.mark.parametrize("sps", _SYNTHETIC_SPS, ids=_SYNTHETIC_IDS)
+    def test_final_bracket_holds_the_sign_change(self, monkeypatch, sps):
+        report, probes = _compare_on_synthetic_margin(monkeypatch, sps)
+        lo, hi = _brackets(sps, probes)[-1]
+        assert hi - lo <= 2.0**-14
+        assert sps(lo) - 1.0 > 0.0 >= sps(hi) - 1.0
+        assert report.crossover_loss_db == 0.5 * (lo + hi)
+
+    def test_n0_zero_reduces_to_the_bisection(self, monkeypatch):
+        monkeypatch.setattr(comparison, "_ITP_N0", 0)
+        report, probes = _compare_on_synthetic_margin(monkeypatch, _cubic_sps)
+        lo, hi, midpoints = 20.0, 21.0, []
+        for _ in range(14):
+            mid = 0.5 * (lo + hi)
+            midpoints.append(mid)
+            if _cubic_sps(mid) - 1.0 > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert probes == midpoints
+        assert report.crossover_loss_db == 0.5 * (lo + hi)
 
     def test_no_crossover_for_weak_source(self):
         source = SourceSpec(SourceKind.SPS, 0.05, 0.5)
@@ -444,7 +509,11 @@ def _tuned_sps(channel=FIELD_CHANNEL, g2=FIELD_SOURCE.g2, loss=FIELD_CHANNEL.cha
 
 
 def _non_increasing(rates):
-    return all(later <= earlier for earlier, later in zip(rates, rates[1:]))
+    # A 1-ulp step of the input can round into a rise of a few ulps at
+    # the same tuned point: 3 ulps (3.4e-16 relative) for the SPS at
+    # g2 <n> = 1, 7 ulps (1.2e-15) for the WCP at losses [0, 2.7e-16].
+    # A rise of up to 1e-12 of the rate is taken for that rounding.
+    return all(later - earlier <= 1e-12 * earlier for earlier, later in zip(rates, rates[1:]))
 
 
 # Tuned-rate physics: whatever the tuner picks, a worse link or source
@@ -464,6 +533,7 @@ def test_tuned_sps_rate_does_not_rise_with_loss(losses):
         max_size=16,
     )
 )
+@example([3.4246575342465753, 3.4246575342465757])  # 1 ulp below and at 1/<n>
 def test_tuned_sps_rate_does_not_rise_with_g2(g2s):
     assert _non_increasing(_tuned_sps(g2=sorted(g2s)))
 
@@ -500,6 +570,7 @@ _CONCENTRATION = st.sampled_from(["hoeffding", "chernoff"])
 @given(
     st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=2, max_size=16), _CONCENTRATION
 )
+@example([0.0, 2.702212228820446e-16], "hoeffding")  # eta moves by 1 ulp
 def test_tuned_wcp_rate_does_not_rise_with_loss(losses, concentration):
     assert _non_increasing(_tuned_wcp(sorted(losses), concentration=concentration))
 
