@@ -219,8 +219,6 @@ def load_config(path: str) -> ExperimentConfig:
             )
     except NonPhysicalSource as exc:
         raise ValidationError(f"NonPhysicalSource: {exc}") from exc
-    except RateTooHigh as exc:
-        raise ValidationError(f"RateTooHigh: {exc}") from exc
     except ValidationError:
         raise
     except ValueError as exc:
@@ -265,6 +263,10 @@ def _fmt(value: float) -> str:
 def _require_sps(config: ExperimentConfig, command: str) -> None:
     if config.source.kind is not SourceKind.SPS:
         raise ValidationError(f"{command} needs source_kind = sps, got {config.source.kind.value}")
+    # Such a source has no g2: reject it, as `rate` does, rather than tune it to 0.
+    mean = config.source.mean_photon_number
+    if not mean * mean > 0.0:
+        raise UndefinedG2(f"g2 is undefined for a mean photon number of {mean:.3g}")
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:

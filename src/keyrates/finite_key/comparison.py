@@ -19,7 +19,7 @@ import numpy as np
 
 from ..asymptotic import BoundaryCurve, EmptyCurve
 from ..channel import ChannelDetectorModel
-from ..photon_source import NonPhysicalSource, SourceKind, SourceSpec
+from ..photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 from .core import (
     InsufficientBlock,
     ProtocolConfig,
@@ -152,7 +152,7 @@ def _sps_rate_or_zero(n_mean, g2, channel, proto, sec, asymptotic) -> float:
     try:
         source = SourceSpec(SourceKind.SPS, n_mean, g2)
         return sps_expected_rate(source, channel, proto, sec, asymptotic=asymptotic).rate_per_pulse
-    except (InsufficientBlock, NonPhysicalSource):
+    except (InsufficientBlock, NonPhysicalSource, UndefinedG2):
         return 0.0
 
 
@@ -320,7 +320,7 @@ def _tune_wcp(
     for loss, q, *lane in zip(losses.tolist(), q_tx.tolist(), *(a.tolist() for a in point)):
         ch = replace(channel, channel_loss_db=loss)
         rate = _wcp_rate_or_zero(*lane, q, ch, proto, sec, concentration)
-        tuned.append((max(rate, 0.0), WcpIntensities(*lane), q))
+        tuned.append((rate, WcpIntensities(*lane), q))
     return tuned
 
 
@@ -364,7 +364,7 @@ def optimized_wcp_rate(
 
     q_tx, *seed = _wcp_seed(channel.channel_loss_db, channel, proto, sec, concentration)
     rate, *point = _refine_wcp(score, q_tx, *seed)
-    return max(rate, 0.0), WcpIntensities(*point), replace(proto, q_z_tx=q_tx)
+    return rate, WcpIntensities(*point), replace(proto, q_z_tx=q_tx)
 
 
 def compare(
@@ -372,7 +372,6 @@ def compare(
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
     sec: SecurityParams,
-    concentration: str = "hoeffding",
 ) -> CompareReport:
     """Optimised SPS-versus-WCP advantage and break-even channel loss.
 
@@ -390,7 +389,7 @@ def compare(
     losses = [i * CROSSOVER_SCAN_STEP_DB for i in range(steps + 1)]
     # The configured loss and the whole scan are one sweep.
     (_, r_sps, r_wcp, advantage), *rows = sweep_rates(
-        source, channel, proto, sec, [channel.channel_loss_db, *losses], concentration
+        source, channel, proto, sec, [channel.channel_loss_db, *losses]
     )
     scan = tuple((loss, s, w) for loss, s, w, _ in rows)
     margins = [s - w for _, s, w in scan]
@@ -408,7 +407,7 @@ def compare(
     def margin(loss: float) -> float:
         ch = replace(channel, channel_loss_db=loss)
         s, _ = optimized_sps_rate(source, ch, proto, sec)
-        return s - optimized_wcp_rate(ch, proto, sec, concentration=concentration)[0]
+        return s - optimized_wcp_rate(ch, proto, sec)[0]
 
     lo, hi = _itp_bracket(margin, losses[i], losses[i + 1], margins[i], margins[i + 1])
     crossover = 0.5 * (lo + hi)
@@ -429,7 +428,6 @@ def sweep_rates(
     proto: ProtocolConfig,
     sec: SecurityParams,
     losses: list[float],
-    concentration: str = "hoeffding",
 ) -> list[tuple[float, float, float, float]]:
     """Optimised (loss, r_sps, r_wcp, advantage) rows for a loss sweep.
 
@@ -438,7 +436,7 @@ def sweep_rates(
     """
     n_mean, g2 = _sps_parameters(source)
     sps_rates = _tune_sps(n_mean, g2, losses, channel, proto, sec)[0].tolist()
-    wcp_rates = [rate for rate, _, _ in _tune_wcp(losses, channel, proto, sec, concentration)]
+    wcp_rates = [rate for rate, _, _ in _tune_wcp(losses, channel, proto, sec)]
     return [
         (loss, r_sps, r_wcp, advantage_db(r_sps, r_wcp))
         for loss, r_sps, r_wcp in zip(losses, sps_rates, wcp_rates)
@@ -452,7 +450,6 @@ def finite_boundary(
     proto: ProtocolConfig,
     sec: SecurityParams,
     asymptotic: bool = False,
-    concentration: str = "hoeffding",
 ) -> BoundaryCurve:
     """Break-even locus of the finite-key pipelines in the (<n>, g2) plane.
 
@@ -463,9 +460,7 @@ def finite_boundary(
     infinite-block limit.
     """
     ch = replace(channel, channel_loss_db=loss_db)
-    r_wcp, _, _ = optimized_wcp_rate(
-        ch, proto, sec, asymptotic=asymptotic, concentration=concentration
-    )
+    r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec, asymptotic=asymptotic)
 
     def sps_rates(n_mean, g2) -> np.ndarray:
         return _tune_sps(n_mean, g2, loss_db, channel, proto, sec, asymptotic)[0]

@@ -271,7 +271,8 @@ def sps_key_length(
     if source.kind is not SourceKind.SPS:
         raise ValueError("sps_key_length needs an SPS source")
     t = tallies
-    p2 = source.g2 * source.mean_photon_number**2 / 2.0
+    mean = source.mean_photon_number
+    p2 = source.g2 * (mean * mean) / 2.0
     report, insufficient = _float_or_numpy(
         _sps_key_lengths,
         (t.n_pulses_sent, t.z_detections, t.x_detections, t.z_errors, t.x_errors,
@@ -456,11 +457,11 @@ def _sps_lanes(
     on ``replace(channel, channel_loss_db=loss_db[i])`` under
     ``replace(proto, q_z_tx=q_z_tx[i], pre_attenuation=pre_attenuation[i])``
     through the same ``_sps_expectation`` and ``_sps_key_lengths``, and is
-    exactly 0 wherever the scalar path raises ``InsufficientBlock`` or
-    ``NonPhysicalSource`` (``g2 <n> > 1``, ``p0 < 0``). Every term that
-    does not depend on the pre-attenuation (source, detector yields,
-    basis split) is derived once, so a search that scores many
-    pre-attenuations per lane builds the lanes once.
+    exactly 0 wherever the scalar path raises ``InsufficientBlock``,
+    ``UndefinedG2`` or ``NonPhysicalSource`` (``g2 <n> > 1``, ``p0 < 0``).
+    Every term that does not depend on the pre-attenuation (source,
+    detector yields, basis split) is derived once, so a search that
+    scores many pre-attenuations per lane builds the lanes once.
     """
     n_mean, g2, q_z_tx, loss_db = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (n_mean, g2, q_z_tx, loss_db))
@@ -517,7 +518,7 @@ def _sps_lanes(
         valid = (
             lane_ok
             & (0.0 < t) & (t <= 1.0)
-            & (mean > 0.0) & ~(g2_launched * mean > 1.0)
+            & (mean * mean > 0.0) & ~(g2_launched * mean > 1.0)
             & (q > 0.0)
             & ~insufficient
         )

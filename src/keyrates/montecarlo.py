@@ -130,8 +130,8 @@ def _trial_arrays(spec: TrialSpec) -> tuple[float, np.ndarray, np.ndarray, np.nd
         row[:] = _draw_tallies(counts, rng)
 
     n_z, n_x, m_z, m_x = draws.T
-    # sps_key_length's expression: `**2`, not `*`, so the last bit agrees.
-    p2 = launched.g2 * launched.mean_photon_number**2 / 2.0
+    mean = launched.mean_photon_number
+    p2 = launched.g2 * (mean * mean) / 2.0
     with np.errstate(all="ignore"):
         report, insufficient = _sps_key_lengths(
             n_s, n_z, n_x, m_z, m_x, p2, spec.proto.q_z_tx, spec.sec

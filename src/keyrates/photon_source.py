@@ -53,9 +53,6 @@ class PhotonNumberDistribution:
     def n_max(self) -> int:
         return len(self.probs) - 1
 
-    def __getitem__(self, n: int) -> float:
-        return self.probs[n]
-
 
 class SourceKind(Enum):
     SPS = "sps"
@@ -85,11 +82,6 @@ class SourceSpec:
             raise NonPhysicalSource(
                 f"g2*<n> = {self.g2 * self.mean_photon_number:.6g} > 1 implies p1 < 0"
             )
-
-    @property
-    def mu(self) -> float:
-        """Poisson intensity alias, meaningful for WCP sources."""
-        return self.mean_photon_number
 
     def distribution(self, n_max: int = DEFAULT_WCP_CUTOFF) -> PhotonNumberDistribution:
         if self.kind is SourceKind.SPS:

@@ -318,10 +318,22 @@ def test_more_pulses_than_binomial_sampling_takes_is_config_error(tmp_path, caps
     assert err[0].startswith("error: TooManyPulses:")
 
 
-def test_unphysical_launch_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["rate"],
+        ["sweep", "--loss-min", "0", "--loss-max", "1", "--steps", "2"],
+        ["compare"],
+        ["optimize", "--target", "sps", "--generations", "1"],
+        ["simulate", "--reps", "1", "--seed", "0"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_unphysical_launch_is_config_error(tmp_path, capsys, command):
     # The mean squared underflows, so the launched g2 is undefined.
     text = FIELD_CFG_TEXT.replace("mean_photon_number = 0.292", "mean_photon_number = 1e-300")
-    assert run(["rate", write_cfg(tmp_path, text)]) == 3
+    name, *options = command
+    assert run([name, write_cfg(tmp_path, text), *options]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: UndefinedG2:")
@@ -398,6 +410,19 @@ class TestBoundaryCommand:
         points = [tuple(map(float, line.split(","))) for line in lines[1:]]
         assert points[0][1] == 0.0  # bisected minimum-mean endpoint
         assert points[0][0] == pytest.approx(0.086, rel=0.2)
+
+    def test_finite_mode_scores_an_underflowing_grid_point_zero(self, field_cfg, capsys):
+        # <n> = 1e-300 squares to 0, so that grid point has no g2 and no
+        # advantage; the curve is solved from the other points.
+        grid_args = ["--grid-min", "1e-300", "--grid-max", "0.9", "--grid-points", "5"]
+        argv = ["boundary", field_cfg, "--loss", "0", "--mode", "finite", *grid_args]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "mean_photon_number,g2"
+        points = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert len(points) == 2
+        assert points[0][1] == 0.0  # bisected minimum-mean endpoint
+        assert points[1][0] == pytest.approx(0.9)
 
     @pytest.mark.parametrize(
         "grid_args",

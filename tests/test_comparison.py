@@ -131,6 +131,12 @@ class TestOptimizedRates:
                 SourceSpec(SourceKind.WCP, 0.5), FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC
             )
 
+    def test_sps_tuner_scores_an_underflowing_source_zero(self):
+        # <n> = 1e-200 squares to 0, so the launched g2 is undefined: no key.
+        source = SourceSpec(SourceKind.SPS, 1e-200, 0.3)
+        rate, _ = optimized_sps_rate(source, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        assert rate == 0.0
+
 
 @contextmanager
 def _scored_wcp_points():

@@ -189,6 +189,22 @@ class TestSpsExpectedRate:
         numpy_params = map(_as_numpy_scalars, (channel, FIELD_PROTO, FIELD_SEC))
         assert outcome(numpy_source, *numpy_params) == expected
 
+    def test_array_distiller_gives_the_scalar_multi_photon_cap(self):
+        # Both paths take the launched p2 as g2 * (<n> * <n>) / 2. At this
+        # <n>, libm's <n>**2 differs from <n> * <n> in the last bit.
+        source = SourceSpec(SourceKind.SPS, 0.0397, 0.138)
+        expected = sps_expected_rate(source, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        tallies, launched = expected_tallies(source, FIELD_CHANNEL, FIELD_PROTO)
+        mean = np.array([launched.mean_photon_number])
+        with np.errstate(all="ignore"):
+            report, _ = _sps_key_lengths(
+                *(np.array([count]) for count in astuple(tallies)),
+                launched.g2 * (mean * mean) / 2.0,
+                FIELD_PROTO.q_z_tx,
+                FIELD_SEC,
+            )
+        assert report.multi_photon_cap[0] == expected.multi_photon_cap
+
     def test_field_configuration(self):
         report = sps_expected_rate(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert report.rate_per_pulse == pytest.approx(1.08e-3, rel=0.25)
@@ -356,7 +372,7 @@ def _scalar_sps_rate(n_mean, g2, q_z_tx, pre_attenuation, channel, asymptotic):
         return sps_expected_rate(
             source, channel, proto, FIELD_SEC, asymptotic=asymptotic
         ).rate_per_pulse
-    except (InsufficientBlock, NonPhysicalSource):
+    except (InsufficientBlock, NonPhysicalSource, UndefinedG2):
         return 0.0
 
 
@@ -383,11 +399,13 @@ _sps_point = st.tuples(
     points=[(1.2, 0.24, 0.9, 0.1, 0.0), (1.2, 0.24, 0.9, 1.0, 0.0), (0.3, 0.1, 0.9, 0.5, 10.0)],
 )
 @example(asymptotic=True, dark_count_rate=0.0, points=[(1.2, 0.24, 0.9, 0.1, 0.0)])
+# <n> = 1e-200 squares to 0: both paths score the undefined launched g2 as 0.
+@example(asymptotic=False, dark_count_rate=43.0, points=[(1e-200, 3e-201, 0.9, 1.0, 0.0)])
 def test_sps_kernel_matches_scalar_path(asymptotic, dark_count_rate, points):
-    # Same expressions in the same order; NumPy's log2 and the product
-    # t * t may differ from libm's log2 and pow in the last bit, and
-    # near-zero rates lose digits to cancellation, so the tolerance is
-    # scaled by the coherent-light ceiling eta / e.
+    # Same expressions in the same order; NumPy's log2 may differ from
+    # libm's in the last bit, and near-zero rates lose digits to
+    # cancellation, so the tolerance is scaled by the coherent-light
+    # ceiling eta / e.
     channel = replace(FIELD_CHANNEL, dark_count_rate_cps=dark_count_rate)
     columns = [(n, share / n, q, t, loss) for n, share, q, t, loss in points]
     n_col, g2_col, q_col, t_col, loss_col = zip(*columns)

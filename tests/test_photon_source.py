@@ -30,9 +30,9 @@ class TestSpsDistribution:
     def test_field_point_closed_form(self):
         # Two-moment system: p2 = g2 <n>^2 / 2, p1 = <n> - 2 p2.
         dist = sps_distribution(0.292, 0.00698)
-        assert dist[0] == pytest.approx(0.70829757136, abs=1e-12)
-        assert dist[1] == pytest.approx(0.29140485728, abs=1e-12)
-        assert dist[2] == pytest.approx(2.9757136e-4, abs=1e-12)
+        assert dist.probs[0] == pytest.approx(0.70829757136, abs=1e-12)
+        assert dist.probs[1] == pytest.approx(0.29140485728, abs=1e-12)
+        assert dist.probs[2] == pytest.approx(2.9757136e-4, abs=1e-12)
 
     def test_perfect_single_photon_source(self):
         dist = sps_distribution(1.0, 0.0)
@@ -59,11 +59,11 @@ class TestSpsDistribution:
 class TestWcpDistribution:
     def test_single_photon_probability_at_mu_one(self):
         dist = wcp_distribution(1.0, 10)
-        assert dist[1] == pytest.approx(1.0 / math.e, abs=1e-12)
+        assert dist.probs[1] == pytest.approx(1.0 / math.e, abs=1e-12)
 
     def test_vacuum(self):
         dist = wcp_distribution(0.0, 10)
-        assert dist[0] == 1.0
+        assert dist.probs[0] == 1.0
         assert sum(dist.probs[1:]) == 0.0
 
     def test_poisson_terms(self):
@@ -71,12 +71,12 @@ class TestWcpDistribution:
         for k, expected in enumerate(
             0.5**n * math.exp(-0.5) / math.factorial(n) for n in range(3)
         ):
-            assert dist[k] == pytest.approx(expected, abs=1e-12)
+            assert dist.probs[k] == pytest.approx(expected, abs=1e-12)
 
     def test_tail_absorbed(self):
         dist = wcp_distribution(0.8, 3)
         body = sum(0.8**n * math.exp(-0.8) / math.factorial(n) for n in range(3))
-        assert dist[3] == pytest.approx(1.0 - body, abs=1e-12)
+        assert dist.probs[3] == pytest.approx(1.0 - body, abs=1e-12)
         assert math.fsum(dist.probs) == pytest.approx(1.0, abs=NORM_TOL)
 
     def test_cutoff_below_two_rejected(self):
@@ -92,7 +92,7 @@ class TestAttenuate:
     def test_full_blocking(self):
         dist = sps_distribution(0.292, 0.00698)
         out = attenuate(dist, 0.0)
-        assert out[0] == pytest.approx(1.0, abs=NORM_TOL)
+        assert out.probs[0] == pytest.approx(1.0, abs=NORM_TOL)
         assert sum(out.probs[1:]) == pytest.approx(0.0, abs=NORM_TOL)
 
     def test_moments_scale_and_g2_invariant(self):
@@ -112,7 +112,7 @@ class TestAttenuate:
                 expected[k] += p_n * t**k * (1.0 - t) ** (n - k)
         out = attenuate(dist, t)
         for k in range(dist.n_max + 1):
-            assert out[k] == pytest.approx(expected[k], abs=1e-12)
+            assert out.probs[k] == pytest.approx(expected[k], abs=1e-12)
 
     def test_out_of_range_transmittance(self):
         with pytest.raises(ValueError):
@@ -143,7 +143,6 @@ class TestSourceSpec:
         spec = SourceSpec(SourceKind.WCP, 0.5)
         dist = spec.distribution(n_max=15)
         assert dist.n_max == 15
-        assert spec.mu == 0.5
 
     def test_invalid_pair_rejected(self):
         with pytest.raises(NonPhysicalSource):
