@@ -420,7 +420,7 @@ def _simulate_lines(seed: int, draws: np.ndarray, key_length: np.ndarray, rate: 
             rate[block].tolist(),
         )
         for trial_seed, nz, mz, nx, mx, key, r in columns:
-            yield f"{trial_seed},{nz},{mz},{nx},{mx},{_fmt(key)},{_fmt(r)}"
+            yield f"{trial_seed},{nz},{mz},{nx},{mx},{key:.9e},{r:.9e}"
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -159,25 +159,8 @@ def optimize(
             if stagnant >= STAGNATION_LIMIT:
                 break
 
-        elites = population[:ELITE_COUNT].copy()
-        children = np.empty((n_children, n_genes))
-        for i in range(n_children):
-            # Population is sorted by fitness, so the tournament winner
-            # is the lowest drawn index.
-            parent_a = population[rng.integers(0, pop_size, TOURNAMENT_SIZE).min()]
-            parent_b = population[rng.integers(0, pop_size, TOURNAMENT_SIZE).min()]
-            child = parent_a.copy()
-            if rng.random() < CROSSOVER_PROB:
-                mask = rng.random(n_genes) < 0.5
-                child[mask] = parent_b[mask]
-            mutate = rng.random(n_genes) < MUTATION_PROB
-            if mutate.any():
-                # The same draws as rng.normal(0.0, sigma).
-                noise = rng.standard_normal(n_genes) * sigma
-                child = np.where(mutate, child + noise, child)
-            children[i] = np.minimum(np.maximum(child, lows), highs)
-
-        population = np.vstack([elites, children])
+        children = _breed(rng, population, n_children, sigma, lows, highs)
+        population = np.vstack([population[:ELITE_COUNT], children])
         fitness = np.concatenate([fitness[:ELITE_COUNT], evaluate(children)])
 
     order = np.argsort(-fitness, kind="stable")
@@ -192,6 +175,34 @@ def optimize(
         best_rate=best_rate,
         history=tuple(history),
     )
+
+
+def _breed(rng: np.random.Generator, population, n_children: int, sigma, lows, highs):
+    """One generation's children of a population sorted best first.
+
+    Each child draws, in this order: both tournaments in one ``integers``
+    call (with PCG64, the values and stream position of two calls), the
+    crossover test and mask, the mutation uniforms and, only if a gene
+    mutates, the normals of ``rng.normal(0.0, sigma)``. The arithmetic on
+    the draws then runs once for the whole generation.
+    """
+    pop_size, n_genes = population.shape
+    # The rows of a child that does not cross (no uniform of 1 is below 0.5) or mutate.
+    no_crossover, no_noise = np.ones(n_genes), np.zeros(n_genes)
+    picks, crossover_u, mutation_u, noise = [], [], [], []
+    for _ in range(n_children):
+        picks.append(rng.integers(0, pop_size, 2 * TOURNAMENT_SIZE))
+        crossover_u.append(rng.random(n_genes) if rng.random() < CROSSOVER_PROB else no_crossover)
+        u = rng.random(n_genes)
+        mutation_u.append(u)
+        noise.append(rng.standard_normal(n_genes) if min(u.tolist()) < MUTATION_PROB else no_noise)
+    # The tournament winner is the lowest drawn index.
+    picks = np.array(picks)
+    parent_a = population[picks[:, :TOURNAMENT_SIZE].min(1)]
+    parent_b = population[picks[:, TOURNAMENT_SIZE:].min(1)]
+    child = np.where(np.array(crossover_u) < 0.5, parent_b, parent_a)
+    child = np.where(np.array(mutation_u) < MUTATION_PROB, child + np.array(noise) * sigma, child)
+    return np.minimum(np.maximum(child, lows), highs)
 
 
 def _coordinate_polish(

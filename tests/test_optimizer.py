@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from keyrates import optimizer
 from keyrates.asymptotic import sps_asymptotic_rate, sps_rate_fixed_mean
-from keyrates.optimizer import GASettings, OptimizationResult, SearchSpace, optimize
+from keyrates.optimizer import (
+    ELITE_COUNT,
+    MUTATION_SIGMA_FRACTION,
+    TOURNAMENT_SIZE,
+    GASettings,
+    OptimizationResult,
+    SearchSpace,
+    _breed,
+    optimize,
+)
 
 
 def quadratic_objective(params):
@@ -143,3 +153,64 @@ def test_decode_of_a_gene_array_matches_each_row():
             assert (row["a"], row["b"], row["c"]) == (a / total, b / total, c / total)
     for name in space.names:
         assert columns[name].tolist() == [row[name] for row in rows]
+
+
+@pytest.mark.parametrize("n", [4, 5, 50, 10_000, 2**31 + 1])
+def test_one_tournament_call_draws_what_two_calls_draw(n):
+    # _breed draws both tournaments of a child in one integers call. With
+    # PCG64 a bounded 32-bit draw takes half of a 64-bit word and keeps the
+    # other half for the next call, so the merged call must give the same
+    # indices and leave the stream where two calls leave it; a random()
+    # call between children must agree too. At 2**31 + 1 about half the
+    # 32-bit draws are rejected.
+    for seed in range(20):
+        merged, split = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            both = merged.integers(0, n, 2 * TOURNAMENT_SIZE).tolist()
+            first = split.integers(0, n, TOURNAMENT_SIZE).tolist()
+            assert both == first + split.integers(0, n, TOURNAMENT_SIZE).tolist()
+            assert merged.random() == split.random()
+        assert merged.bit_generator.state == split.bit_generator.state
+
+
+def _children_one_at_a_time(rng, population, n_children, sigma, lows, highs):
+    """Reference for ``_breed``: each child drawn and built on its own."""
+    pop_size, n_genes = population.shape
+    children = np.empty((n_children, n_genes))
+    for i in range(n_children):
+        parent_a = population[rng.integers(0, pop_size, TOURNAMENT_SIZE).min()]
+        parent_b = population[rng.integers(0, pop_size, TOURNAMENT_SIZE).min()]
+        child = parent_a.copy()
+        if rng.random() < optimizer.CROSSOVER_PROB:
+            mask = rng.random(n_genes) < 0.5
+            child[mask] = parent_b[mask]
+        mutate = rng.random(n_genes) < optimizer.MUTATION_PROB
+        if mutate.any():
+            noise = rng.standard_normal(n_genes) * sigma
+            child = np.where(mutate, child + noise, child)
+        children[i] = np.minimum(np.maximum(child, lows), highs)
+    return children
+
+
+@pytest.mark.parametrize("crossover_prob", [None, 0.0, 1.0])
+@pytest.mark.parametrize("mutation_prob", [None, 0.0, 1.0])
+def test_breed_matches_children_built_one_at_a_time(monkeypatch, crossover_prob, mutation_prob):
+    if crossover_prob is not None:
+        monkeypatch.setattr(optimizer, "CROSSOVER_PROB", crossover_prob)
+    if mutation_prob is not None:
+        monkeypatch.setattr(optimizer, "MUTATION_PROB", mutation_prob)
+    for n_genes in (2, 6):
+        lows = np.linspace(-1.0, 0.5, n_genes)
+        highs = lows + np.linspace(0.5, 3.0, n_genes)
+        span = highs - lows
+        sigma = MUTATION_SIGMA_FRACTION * span
+        for pop_size in (4, 5, 50):
+            for seed in range(20):
+                genes = np.random.default_rng(1000 + seed).random((pop_size, n_genes))
+                population = lows + genes * span
+                args = (population, pop_size - ELITE_COUNT, sigma, lows, highs)
+                batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+                children = _breed(batched, *args)
+                expected = _children_one_at_a_time(looped, *args)
+                assert children.tolist() == expected.tolist()
+                assert batched.bit_generator.state == looped.bit_generator.state

@@ -5,11 +5,12 @@ before each protocol's scalar and array key lengths became one
 implementation, ``simulate``'s output before its child streams were
 seeded in one array pass, the ``optimize`` and finite ``boundary``
 outputs before the float and lane golden-section searches became one,
-and the asymptotic ``boundary`` outputs before its bisection became the
-closed-form root. Every number must agree within 1e-12
-relative rather than exactly, because NumPy's ``exp`` and ``log2`` may
-round differently on another CPU; the text between numbers must match
-exactly.
+the asymptotic ``boundary`` outputs before its bisection became the
+closed-form root, and two short ``optimize`` runs before each GA
+generation's children were built in one array pass. Every number must
+agree within 1e-12 relative rather than exactly, because NumPy's ``exp``
+and ``log2`` may round differently on another CPU; the text between
+numbers must match exactly.
 """
 
 import math
@@ -50,6 +51,15 @@ def wcp_config(tmp_path) -> str:
         ),
         (["optimize", "{field}", "--target", "sps", "--seed", "7"], "field_optimize_sps_7.txt"),
         (["optimize", "{field}", "--target", "wcp", "--seed", "7"], "field_optimize_wcp_7.txt"),
+        (
+            ["optimize", "{field}", "--target", "sps", "--seed", "3"]
+            + ["--population", "5", "--generations", "40"],
+            "field_optimize_sps_3_p5_g40.txt",
+        ),
+        (
+            ["optimize", "{field}", "--target", "wcp", "--seed", "0", "--generations", "30"],
+            "field_optimize_wcp_0_g30.txt",
+        ),
         (
             ["boundary", "{field}", "--mode", "finite", "--loss", "0"],
             "field_boundary_finite_0.csv",
