@@ -52,15 +52,6 @@ def wcp_config(tmp_path) -> str:
         (["optimize", "{field}", "--target", "sps", "--seed", "7"], "field_optimize_sps_7.txt"),
         (["optimize", "{field}", "--target", "wcp", "--seed", "7"], "field_optimize_wcp_7.txt"),
         (
-            ["optimize", "{field}", "--target", "sps", "--seed", "3"]
-            + ["--population", "5", "--generations", "40"],
-            "field_optimize_sps_3_p5_g40.txt",
-        ),
-        (
-            ["optimize", "{field}", "--target", "wcp", "--seed", "0", "--generations", "30"],
-            "field_optimize_wcp_0_g30.txt",
-        ),
-        (
             ["boundary", "{field}", "--mode", "finite", "--loss", "0"],
             "field_boundary_finite_0.csv",
         ),
@@ -71,6 +62,15 @@ def wcp_config(tmp_path) -> str:
         (
             ["boundary", "{field}", "--mode", "asymptotic", "--loss", "14.6"],
             "field_boundary_asymptotic_14.6.csv",
+        ),
+        (
+            ["optimize", "{field}", "--target", "sps", "--seed", "3"]
+            + ["--population", "5", "--generations", "40"],
+            "field_optimize_sps_3_p5_g40.txt",
+        ),
+        (
+            ["optimize", "{field}", "--target", "wcp", "--seed", "0", "--generations", "30"],
+            "field_optimize_wcp_0_g30.txt",
         ),
     ],
 )
