@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .photon_source import _sps_fault, _sps_moment_rules
+
 # Above e/2 the pre-attenuated branch is below eta/e for every eta <= 1,
 # so the break-even g2 always lies inside [0, G2_SEARCH_CAP]; it reaches
 # the cap only where eta underflows to 0.
@@ -61,10 +63,8 @@ def eta_threshold(n_mean: float, g2: float) -> float:
     discriminant is negative, the pre-attenuated branch applies
     everywhere, and the threshold saturates at 1.
     """
-    if n_mean <= 0:
-        raise ValueError(f"n_mean must be > 0, got {n_mean}")
-    if g2 < 0:
-        raise ValueError(f"g2 must be >= 0, got {g2}")
+    if not all(_sps_moment_rules(n_mean, g2)[:2]):
+        raise _sps_fault(n_mean, g2)
     x = g2 * n_mean
     if x > 0.5:
         return 1.0
@@ -126,7 +126,8 @@ def advantage_boundary(loss_db: float, grid: list[float]) -> BoundaryCurve:
     Grid points that admit no advantage are omitted and the exact
     minimum viable mean photon number (where the boundary meets g2 = 0)
     is prepended, so the curve carries both endpoints regardless of the
-    grid. Raises ``EmptyCurve`` when no point qualifies.
+    grid. A root beyond the SPS rule ``g2 <n> <= 1`` is capped at 1/<n>,
+    as in ``finite_boundary``. Raises ``EmptyCurve`` when no point qualifies.
     """
     if loss_db < 0:
         raise ValueError(f"loss_db must be >= 0, got {loss_db}")
@@ -134,7 +135,7 @@ def advantage_boundary(loss_db: float, grid: list[float]) -> BoundaryCurve:
     for n_mean in sorted(grid):
         g2 = boundary_g2(loss_db, n_mean)
         if g2 is not None:
-            points.append((n_mean, g2))
+            points.append((n_mean, min(g2, 1.0 / n_mean)))
     if not points:
         raise EmptyCurve(f"no grid point admits an SPS advantage at {loss_db} dB")
     n_min = boundary_min_mean(loss_db)

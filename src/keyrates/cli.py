@@ -43,7 +43,7 @@ from .finite_key.comparison import (
     advantage_db,
 )
 from .finite_key.core import _sps_lanes
-from .finite_key.wcp import _wcp_lanes
+from .finite_key.wcp import _p_vacuum, _wcp_lanes
 from .montecarlo import TooManyPulses, TrialSpec, _trial_arrays
 from .optimizer import ELITE_COUNT, GASettings, SearchSpace, optimize
 from .photon_source import NORMALIZATION_TOL, NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
@@ -209,7 +209,7 @@ def load_config(path: str) -> ExperimentConfig:
             # Decimal probabilities that sum to one, such as 0.8 and 0.2,
             # can leave 1 - p_signal - p_decoy just below 0 in binary;
             # within NORMALIZATION_TOL the vacuum probability is taken as 0.
-            if -NORMALIZATION_TOL <= 1.0 - p_signal - p_decoy < 0.0:
+            if -NORMALIZATION_TOL <= _p_vacuum(p_signal, p_decoy) < 0.0:
                 p_decoy = 1.0 - p_signal
             wcp = WcpIntensities(
                 mu_signal=values["mu_signal"],

@@ -33,6 +33,7 @@ from .wcp import (
     DecoyInfeasible,
     WcpIntensities,
     _wcp_lanes,
+    _wcp_valid,
     wcp_asymptotic_practical_rate,
     wcp_finite_key_rate,
 )
@@ -238,10 +239,12 @@ def _wcp_rate_or_zero(
     Takes its point in the order of the ``_wcp_lanes`` scorer.
     """
     cfg = replace(proto, q_z_tx=q_tx)
+    if not _wcp_valid(mu_s, mu_d, p_s, p_d):
+        return 0.0
     try:
         ints = WcpIntensities(mu_s, mu_d, p_s, p_d)
         return wcp_finite_key_rate(ints, channel, cfg, sec, concentration).rate_per_pulse
-    except ValueError:  # DecoyInfeasible included
+    except DecoyInfeasible:
         return 0.0
 
 

@@ -28,7 +28,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..channel import ChannelDetectorModel, link_transmittance, photon_yields
-from ..photon_source import NORMALIZATION_TOL, SourceKind, SourceSpec, UndefinedG2
+from ..photon_source import (
+    SourceKind, SourceSpec, UndefinedG2, _sps_moment_rules, _sps_probs, _sps_valid,
+)
 
 # Chernoff draws charged against eps_pe by the SPS pipeline: the Z and X
 # multi-photon caps, the X error-count bound, and the basis-transfer
@@ -75,10 +77,6 @@ class SecurityParams:
         if self.f_ec < 1.0:
             raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
 
-    def total_failure_probability(self) -> float:
-        """Secrecy budget consumed by estimation plus PA and EC."""
-        return self.eps_pe + self.eps_pa + self.eps_ec
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -96,16 +94,30 @@ class ProtocolConfig:
     pre_attenuation: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("q_z_tx", "q_z_rx"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if not 0.0 < self.pre_attenuation <= 1.0:
-            raise ValueError(
-                f"pre_attenuation must be in (0, 1], got {self.pre_attenuation}"
-            )
+        fields = (self.q_z_tx, self.q_z_rx, self.block_size, self.pre_attenuation)
+        if not _protocol_valid(*fields):
+            fault = _PROTOCOL_FAULTS[_protocol_rules(*fields).index(False)]
+            raise ValueError(fault.format(*fields))
+
+
+def _protocol_rules(q_z_tx, q_z_rx, block_size, pre_attenuation) -> tuple:
+    """The ``ProtocolConfig`` rules, on floats or arrays."""
+    return (
+        (0.0 < q_z_tx) & (q_z_tx < 1.0), (0.0 < q_z_rx) & (q_z_rx < 1.0),
+        block_size >= 1, (0.0 < pre_attenuation) & (pre_attenuation <= 1.0),
+    )
+
+
+def _protocol_valid(q_z_tx, q_z_rx, block_size, pre_attenuation):
+    """Whether ``ProtocolConfig`` accepts the fields; ``&`` as in ``_sps_valid``."""
+    tx, rx, block, attenuation = _protocol_rules(q_z_tx, q_z_rx, block_size, pre_attenuation)
+    return tx & rx & block & attenuation
+
+
+_PROTOCOL_FAULTS = (
+    "q_z_tx must be in (0, 1), got {0}", "q_z_rx must be in (0, 1), got {1}",
+    "block_size must be >= 1, got {2}", "pre_attenuation must be in (0, 1], got {3}",
+)
 
 
 @dataclass(frozen=True)
@@ -456,30 +468,22 @@ def _sps_lanes(
     ``rates(pre_attenuation)`` scores ``SourceSpec(SPS, n_mean[i], g2[i])``
     on ``replace(channel, channel_loss_db=loss_db[i])`` under
     ``replace(proto, q_z_tx=q_z_tx[i], pre_attenuation=pre_attenuation[i])``
-    through the same ``_sps_expectation`` and ``_sps_key_lengths``, and is
-    exactly 0 wherever the scalar path raises ``InsufficientBlock``,
-    ``UndefinedG2`` or ``NonPhysicalSource`` (``g2 <n> > 1``, ``p0 < 0``).
-    Every term that does not depend on the pre-attenuation (source,
-    detector yields, basis split) is derived once, so a search that
-    scores many pre-attenuations per lane builds the lanes once.
+    through the same ``_sps_probs``, ``_sps_expectation`` and
+    ``_sps_key_lengths``, and is exactly 0 wherever the scalar path
+    raises: outside ``_sps_valid``, ``_protocol_valid`` and, for the
+    launched light, ``_sps_moment_rules``, or on ``UndefinedG2`` or
+    ``InsufficientBlock``. Every term that does not depend on the
+    pre-attenuation (source, detector yields, basis split) is derived
+    once, so a search that scores many pre-attenuations builds it once.
     """
     n_mean, g2, q_z_tx, loss_db = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (n_mean, g2, q_z_tx, loss_db))
     )
     with np.errstate(all="ignore"):
-        # sps_distribution, with the SourceSpec and distribution checks.
-        p2 = g2 * n_mean * n_mean / 2.0
-        p1_raw = n_mean - 2.0 * p2
-        p0 = 1.0 - p1_raw - p2
-        p1 = np.maximum(p1_raw, 0.0)
-        # With g2 <n> <= 1, p2 <= 1 and p0 <= 1 always, and p1 > 1 forces
-        # p0 < 0, so the lower bound is the only range check that can fail.
-        lowest = np.minimum(np.minimum(p0, p1_raw), p2)
-        lane_ok = (
-            (n_mean > 0.0) & (g2 >= 0.0) & ~(g2 * n_mean > 1.0)
-            & ~(lowest < -NORMALIZATION_TOL)
-            & (0.0 < q_z_tx) & (q_z_tx < 1.0)
-        )
+        probs = _sps_probs(n_mean, g2)
+        # ``replace(proto, q_z_tx=q, pre_attenuation=t)`` is valid where q and t each are.
+        lane_ok = _sps_valid(n_mean, g2)
+        lane_ok &= _protocol_valid(q_z_tx, proto.q_z_rx, proto.block_size, proto.pre_attenuation)
 
     # Detector yields per distinct loss, from the scalar formulas.
     losses, index = np.unique(loss_db.ravel(), return_inverse=True)
@@ -501,7 +505,7 @@ def _sps_lanes(
         # mask at the end sets them to 0.
         with np.errstate(all="ignore"):
             mean, g2_launched, q, qber, n_s, n_x = _sps_expectation(
-                (p0, p1, p2), t, (y0, y1, y2), (e0, e1, e2), q_z_tx, proto
+                probs, t, (y0, y1, y2), (e0, e1, e2), q_z_tx, proto
             )
             # The key length of the expected tallies and the launched source.
             report, insufficient = _sps_key_lengths(
@@ -515,13 +519,9 @@ def _sps_lanes(
                 sec,
                 asymptotic,
             )
-        valid = (
-            lane_ok
-            & (0.0 < t) & (t <= 1.0)
-            & (mean * mean > 0.0) & ~(g2_launched * mean > 1.0)
-            & (q > 0.0)
-            & ~insufficient
-        )
+            valid = lane_ok & _protocol_valid(proto.q_z_tx, proto.q_z_rx, block, t) & (q > 0.0)
+            positive, signed, bounded = _sps_moment_rules(mean, g2_launched)
+            valid &= (mean * mean > 0.0) & positive & signed & bounded & ~insufficient
         return np.where(valid, report.rate_per_pulse, 0.0)
 
     return rates

@@ -33,6 +33,7 @@ from .core import (
     _chernoff,
     _float_or_numpy,
     _ops,
+    _protocol_valid,
     binary_entropy,
 )
 
@@ -60,22 +61,36 @@ class WcpIntensities:
     p_decoy: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mu_decoy < self.mu_signal:
-            raise ValueError(
-                f"need mu_signal > mu_decoy > 0, got "
-                f"({self.mu_signal}, {self.mu_decoy})"
-            )
-        # The vacuum probability as ``p_vacuum`` computes it: a sum that
-        # rounds to 1 can still leave it just below 0.
-        if min(self.p_signal, self.p_decoy) < 0 or self.p_vacuum < 0:
-            raise ValueError(
-                f"intensity probabilities must be a sub-simplex, got p_signal = "
-                f"{self.p_signal!r}, p_decoy = {self.p_decoy!r}, p_vacuum = {self.p_vacuum!r}"
-            )
+        fields = (self.mu_signal, self.mu_decoy, self.p_signal, self.p_decoy)
+        if not _wcp_valid(*fields):
+            fault = _WCP_FAULTS[_wcp_rules(*fields).index(False)]
+            raise ValueError(fault.format(*fields, self.p_vacuum))
 
     @property
     def p_vacuum(self) -> float:
-        return 1.0 - self.p_signal - self.p_decoy
+        return _p_vacuum(self.p_signal, self.p_decoy)
+
+
+def _p_vacuum(p_s, p_d):
+    return 1.0 - p_s - p_d
+
+
+def _wcp_rules(mu_s, mu_d, p_s, p_d) -> tuple:
+    """Ordered intensities, and a sub-simplex whose ``_p_vacuum`` is below 0 at (0.8, 0.2)."""
+    return (0.0 < mu_d) & (mu_d < mu_s), (p_s >= 0.0) & (p_d >= 0.0) & (_p_vacuum(p_s, p_d) >= 0.0)
+
+
+def _wcp_valid(mu_s, mu_d, p_s, p_d):
+    """Whether ``WcpIntensities`` accepts the fields; ``&`` as in ``_sps_valid``."""
+    ordered, simplex = _wcp_rules(mu_s, mu_d, p_s, p_d)
+    return ordered & simplex
+
+
+_WCP_FAULTS = (
+    "need mu_signal > mu_decoy > 0, got ({0}, {1})",
+    "intensity probabilities must be a sub-simplex, got p_signal = {2!r}, "
+    "p_decoy = {3!r}, p_vacuum = {4!r}",
+)
 
 
 def _poisson_gains(mu, eta, p_dc, p_mis, exp=math.exp):
@@ -223,7 +238,7 @@ def _wcp_distil(mu_s, mu_d, p_s, p_d, q_z_tx, eta, channel, proto, sec, concentr
     ``eta`` is the link transmittance; the detector terms come from ``channel``.
     """
     mus = (mu_s, mu_d, 0.0)
-    probs = (p_s, p_d, 1.0 - p_s - p_d)
+    probs = (p_s, p_d, _p_vacuum(p_s, p_d))
     n_s, tau0, tau1, *tallies = _wcp_expectation(
         mus, probs, q_z_tx, eta, dark_count_prob(channel), channel.misalignment_prob, proto
     )
@@ -274,9 +289,10 @@ def _wcp_lanes(
     result scores ``WcpIntensities(mu_s[i], mu_d[i], p_s[i], p_d[i])``
     on ``replace(channel, channel_loss_db=loss_db[i])`` under
     ``replace(proto, q_z_tx=q_z_tx[i])`` with the same distiller, and is
-    exactly 0 wherever the scalar path raises. The transmittance of each
-    distinct loss comes from the scalar formula, once, so a search that
-    scores many points per lane builds the lanes once.
+    exactly 0 outside ``_wcp_valid`` and ``_protocol_valid`` and where
+    it raises ``DecoyInfeasible``. The transmittance of each distinct
+    loss comes from the scalar formula, once, so a search that scores
+    many points per lane builds the lanes once.
     """
     if concentration not in CONCENTRATIONS:
         raise ValueError(f"concentration must be one of {CONCENTRATIONS}")
@@ -294,12 +310,8 @@ def _wcp_lanes(
             report, no_gain, infeasible, short_log = _wcp_distil(
                 mu_s, mu_d, p_s, p_d, q_z_tx, eta, channel, proto, sec, concentration
             )
-        valid = (
-            (0.0 < mu_d) & (mu_d < mu_s)
-            & (p_s >= 0.0) & (p_d >= 0.0) & (1.0 - p_s - p_d >= 0.0)
-            & (0.0 < q_z_tx) & (q_z_tx < 1.0)
-            & ~(no_gain | infeasible | short_log)
-        )
+        valid = _wcp_valid(mu_s, mu_d, p_s, p_d) & ~(no_gain | infeasible | short_log)
+        valid &= _protocol_valid(q_z_tx, proto.q_z_rx, proto.block_size, proto.pre_attenuation)
         return np.where(valid, report.rate_per_pulse, 0.0)
 
     return rates

@@ -72,16 +72,10 @@ class SourceSpec:
     g2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mean_photon_number <= 0:
-            raise NonPhysicalSource(
-                f"mean photon number must be > 0, got {self.mean_photon_number}"
-            )
-        if self.g2 < 0:
-            raise NonPhysicalSource(f"g2 must be >= 0, got {self.g2}")
-        if self.kind is SourceKind.SPS and self.g2 * self.mean_photon_number > 1.0:
-            raise NonPhysicalSource(
-                f"g2*<n> = {self.g2 * self.mean_photon_number:.6g} > 1 implies p1 < 0"
-            )
+        rules = _sps_moment_rules(self.mean_photon_number, self.g2)
+        # ``distribution()`` adds the p0 rule. Coherent light ignores g2 beyond its sign.
+        if not all(rules if self.kind is SourceKind.SPS else rules[:2]):
+            raise _sps_fault(self.mean_photon_number, self.g2)
 
     def distribution(self, n_max: int = DEFAULT_WCP_CUTOFF) -> PhotonNumberDistribution:
         if self.kind is SourceKind.SPS:
@@ -89,32 +83,46 @@ class SourceSpec:
         return wcp_distribution(self.mean_photon_number, n_max)
 
 
-def sps_distribution(n_mean: float, g2: float) -> PhotonNumberDistribution:
-    """Two-photon-truncated distribution matching a mean and g2.
-
-    Solves the two-moment system ``p1 + 2 p2 = <n>`` and
-    ``2 p2 = g2 <n>^2``, so ``p2 = g2 <n>^2 / 2`` and
-    ``p1 = <n> - 2 p2``. The boundary ``g2 <n> = 1`` (p1 = 0) is
-    accepted; anything beyond raises rather than clamps, so an
-    inconsistent (<n>, g2) pair cannot propagate silently.
-    """
-    if n_mean <= 0:
-        raise NonPhysicalSource(f"mean photon number must be > 0, got {n_mean}")
-    if g2 < 0:
-        raise NonPhysicalSource(f"g2 must be >= 0, got {g2}")
-    if g2 * n_mean > 1.0 + NORMALIZATION_TOL:
-        raise NonPhysicalSource(
-            f"g2*<n> = {g2 * n_mean:.6g} > 1: no valid {{p0, p1, p2}} exists"
-        )
+def _sps_probs(n_mean, g2):
+    """Unclamped ``(p0, p1, p2)`` with ``p1 + 2 p2 = <n>`` and ``2 p2 = g2 <n>^2``."""
     p2 = g2 * n_mean * n_mean / 2.0
     p1 = n_mean - 2.0 * p2
-    p0 = 1.0 - p1 - p2
-    if min(p0, p1, p2) < -NORMALIZATION_TOL or max(p0, p1, p2) > 1.0 + NORMALIZATION_TOL:
-        raise NonPhysicalSource(
-            f"(<n>={n_mean}, g2={g2}) gives probabilities outside [0, 1]: "
-            f"({p0:.6g}, {p1:.6g}, {p2:.6g})"
-        )
-    return PhotonNumberDistribution((p0, max(p1, 0.0), p2))
+    return 1.0 - p1 - p2, p1, p2
+
+
+def _sps_moment_rules(n_mean, g2) -> tuple:
+    """``SourceSpec``'s rules for an SPS: ``<n> > 0``, ``g2 >= 0`` and ``g2 <n> <= 1``."""
+    return n_mean > 0.0, g2 >= 0.0, g2 * n_mean <= 1.0
+
+
+def _sps_rules(n_mean, g2) -> tuple:
+    """The moment rules, then p0's, with which p1 and p2 stay in [0, 1] too."""
+    return (*_sps_moment_rules(n_mean, g2), _sps_probs(n_mean, g2)[0] >= -NORMALIZATION_TOL)
+
+
+def _sps_valid(n_mean, g2):
+    """``_sps_rules`` joined by ``&``, never ``not`` or ``~`` (``~True == -2``): bool or mask."""
+    positive, signed, bounded, normalised = _sps_rules(n_mean, g2)
+    return positive & signed & bounded & normalised
+
+
+_SPS_FAULTS = (
+    "mean photon number must be > 0, got {0}", "g2 must be >= 0, got {1}",
+    "g2*<n> = {2:.6g} > 1 implies p1 < 0",
+    "(<n>={0}, g2={1}) gives probabilities outside [0, 1]: ({3:.6g}, {4:.6g}, {5:.6g})",
+)
+
+
+def _sps_fault(n_mean, g2) -> NonPhysicalSource:
+    fault = _SPS_FAULTS[_sps_rules(n_mean, g2).index(False)]
+    return NonPhysicalSource(fault.format(n_mean, g2, g2 * n_mean, *_sps_probs(n_mean, g2)))
+
+
+def sps_distribution(n_mean: float, g2: float) -> PhotonNumberDistribution:
+    """Two-photon-truncated ``_sps_probs``; a pair breaking ``_sps_rules`` raises, not clamps."""
+    if not _sps_valid(n_mean, g2):
+        raise _sps_fault(n_mean, g2)
+    return PhotonNumberDistribution(_sps_probs(n_mean, g2))
 
 
 def wcp_distribution(mu: float, n_max: int = DEFAULT_WCP_CUTOFF) -> PhotonNumberDistribution:

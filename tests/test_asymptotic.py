@@ -181,13 +181,22 @@ class TestAdvantageBoundary:
         assert g2 == pytest.approx(math.e / 4.0, abs=1e-9)
 
     def test_rate_match_on_every_point(self):
+        # At 0 dB the root at <n> = 1.5 has g2 <n> = 1.02: it is capped at
+        # g2 = 1/<n>, where the SPS still beats the WCP ceiling.
+        capped = 0
         for loss_db in (0.0, 10.0, 30.0):
             curve = advantage_boundary(loss_db, [0.4, 0.6, 1.0, 1.5])
             eta = 10.0 ** (-loss_db / 10.0)
             target = wcp_asymptotic_rate(eta)
             for n_mean, g2 in curve.points:
                 rate = sps_asymptotic_rate(eta, n_mean, g2)
-                assert abs(rate - target) <= 1e-9 * max(target, 1e-300)
+                if g2 < 1.0 / n_mean:
+                    assert abs(rate - target) <= 1e-9 * max(target, 1e-300)
+                else:
+                    capped += 1
+                    assert g2 == 1.0 / n_mean
+                    assert rate >= target
+        assert capped == 1
 
     def test_monotone_frontier(self):
         curve = advantage_boundary(5.0, [0.38, 0.45, 0.55, 0.7, 0.9, 1.2, 1.6])

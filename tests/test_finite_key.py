@@ -303,10 +303,6 @@ class TestSpsExpectedRate:
 
 
 class TestEpsilonBudget:
-    def test_declared_total(self):
-        total = FIELD_SEC.total_failure_probability()
-        assert total == pytest.approx(1e-10, rel=1e-9)
-
     def test_sps_split_consumes_exactly_eps_pe(self):
         per_use = FIELD_SEC.eps_pe / SPS_CHERNOFF_USES
         assert per_use * SPS_CHERNOFF_USES == pytest.approx(FIELD_SEC.eps_pe, rel=1e-15)

@@ -10,9 +10,13 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def test_root_and_scalar_modules_do_not_import_numpy():
+    # Calls too, not just imports: the SPS rules serve NumPy lanes as well.
     code = (
         "import sys\n"
         "import keyrates, keyrates.photon_source, keyrates.channel, keyrates.asymptotic\n"
+        "from keyrates.photon_source import SourceKind, SourceSpec, _sps_valid\n"
+        "SourceSpec(SourceKind.SPS, 0.292, 0.00698).distribution()\n"
+        "assert _sps_valid(0.292, 0.00698) is True and _sps_valid(2.5, 0.0) is False\n"
         "print('numpy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}

@@ -46,7 +46,9 @@ class TestSpsDistribution:
         assert mean == pytest.approx(0.5, abs=1e-12)
         assert g2 == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n_mean,g2", [(0.5, 2.1), (1.2, 1.0), (2.5, 0.0)])
+    @pytest.mark.parametrize(
+        "n_mean,g2", [(0.5, 2.1), (1.2, 1.0), (2.5, 0.0), (0.5, 2.0 * (1 + 1e-13))]
+    )
     def test_non_physical_pairs_raise(self, n_mean, g2):
         with pytest.raises(NonPhysicalSource):
             sps_distribution(n_mean, g2)
