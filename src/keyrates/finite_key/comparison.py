@@ -459,7 +459,9 @@ def finite_boundary(
     For each grid mean photon number the largest g2 at which the tuned
     SPS still matches the tuned WCP comparator is found by bisection;
     the exact minimum viable mean (at g2 = 0) is prepended as the first
-    curve point. ``asymptotic=True`` evaluates both pipelines in their
+    curve point. All bisections run as lanes of one lane-tuner call per
+    two steps, which scores each lane's midpoint and both quarter
+    points. ``asymptotic=True`` evaluates both pipelines in their
     infinite-block limit.
     """
     ch = replace(channel, channel_loss_db=loss_db)
@@ -486,10 +488,19 @@ def finite_boundary(
     bisected = sps_rates(n_lane, g2_lane) < r_wcp
     endpoint = (np.arange(n_lane.size) == n_grid.size)[bisected]
     n_lane, lo, hi = n_lane[bisected], lo[bisected], hi[bisected]
-    for _ in range(BOUNDARY_BISECTION_ITERATIONS):
+    # Each tuner call scores the midpoint and both quarter points, so it
+    # takes two bisection steps: the kept side's quarter point is the next
+    # step's midpoint, the same float. In heap order the probe after probe
+    # i is 2i + 1 where i fails and 2i + 2 where it holds.
+    for step in range(0, BOUNDARY_BISECTION_ITERATIONS, 2):
         mid = 0.5 * (lo + hi)
-        holds = sps_rates(np.where(endpoint, mid, n_lane), np.where(endpoint, 0.0, mid)) >= r_wcp
-        lo, hi = np.where(holds, mid, lo), np.where(holds, hi, mid)
+        probe = np.stack([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)])
+        holds = sps_rates(np.where(endpoint, probe, n_lane), np.where(endpoint, 0.0, probe)) >= r_wcp
+        node = 0
+        for _ in range(min(2, BOUNDARY_BISECTION_ITERATIONS - step)):
+            x, kept = np.choose(node, probe), np.choose(node, holds)
+            lo, hi = np.where(kept, x, lo), np.where(kept, hi, x)
+            node = 2 * node + 1 + kept
     edge[bisected] = lo
     points = list(zip(n_grid.tolist(), edge[:-1].tolist()))
     if bisected[-1]:
