@@ -263,10 +263,12 @@ def _fmt(value: float) -> str:
 def _require_sps(config: ExperimentConfig, command: str) -> None:
     if config.source.kind is not SourceKind.SPS:
         raise ValidationError(f"{command} needs source_kind = sps, got {config.source.kind.value}")
-    # Such a source has no g2: reject it, as `rate` does, rather than tune it to 0.
+    # Reject what `rate` rejects rather than tune it to 0: a source without
+    # a g2, or one whose probabilities leave [0, 1] (NonPhysicalSource).
     mean = config.source.mean_photon_number
     if not mean * mean > 0.0:
         raise UndefinedG2(f"g2 is undefined for a mean photon number of {mean:.3g}")
+    config.source.distribution()
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
@@ -346,7 +348,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 q_z_tx=params["q_z_tx"],
                 pre_attenuation=params["pre_attenuation"],
             )
-            return _sps_rate_or_zero(n_mean, g2, config.channel, proto, config.sec, False)
+            return _sps_rate_or_zero(n_mean, g2, config.channel, proto, config.sec)
 
         def score_population(columns: dict[str, np.ndarray]) -> np.ndarray:
             lanes = _sps_lanes(

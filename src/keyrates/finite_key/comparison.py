@@ -34,7 +34,6 @@ from .wcp import (
     WcpIntensities,
     _wcp_lanes,
     _wcp_valid,
-    wcp_asymptotic_practical_rate,
     wcp_finite_key_rate,
 )
 
@@ -43,12 +42,10 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Transmitter basis-ratio candidates shared by both technologies.
 Q_TX_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
-# Receiver basis split assumed for the finite-block coherent-light
-# comparator: a conventional passive 50:50 basis choice. The 9:1 split
-# of the single-photon receiver is specific to that hardware, so it is
-# not imposed on the comparator; in the infinite-block comparison the
-# receiver drops out of the statistics and the two technologies share
-# the configured split.
+# Receiver basis split assumed for the coherent-light comparator: a
+# conventional passive 50:50 basis choice. The 9:1 split of the
+# single-photon receiver is specific to that hardware, so it is not
+# imposed on the comparator.
 WCP_RECEIVER_Z_RATIO = 0.5
 
 WCP_MU_SIGNAL_GRID = (0.3, 0.45, 0.6, 0.8, 1.0)
@@ -148,11 +145,11 @@ def _itp_bracket(margin, lo, hi, m_lo, m_hi) -> tuple[float, float]:
     return lo, hi
 
 
-def _sps_rate_or_zero(n_mean, g2, channel, proto, sec, asymptotic) -> float:
+def _sps_rate_or_zero(n_mean, g2, channel, proto, sec) -> float:
     """Scalar SPS rate, 0 where the pipeline rejects the point."""
     try:
         source = SourceSpec(SourceKind.SPS, n_mean, g2)
-        return sps_expected_rate(source, channel, proto, sec, asymptotic=asymptotic).rate_per_pulse
+        return sps_expected_rate(source, channel, proto, sec).rate_per_pulse
     except (InsufficientBlock, NonPhysicalSource, UndefinedG2):
         return 0.0
 
@@ -164,7 +161,6 @@ def _tune_sps(
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
     sec: SecurityParams,
-    asymptotic: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``optimized_sps_rate`` for broadcast (<n>, g2, loss) lanes at once.
 
@@ -180,8 +176,7 @@ def _tune_sps(
     )
     q_grid = np.array(Q_TX_GRID)
     rate_at = _sps_lanes(
-        n_mean[..., None], g2[..., None], q_grid, loss_db[..., None],
-        channel, proto, sec, asymptotic,
+        n_mean[..., None], g2[..., None], q_grid, loss_db[..., None], channel, proto, sec
     )
     t, rate = _golden_max(rate_at, 1e-4, 1.0)
     unattenuated = rate_at(1.0)
@@ -196,7 +191,7 @@ def _tune_sps(
         [
             _sps_rate_or_zero(
                 n, g, replace(channel, channel_loss_db=loss),
-                replace(proto, q_z_tx=q, pre_attenuation=tb), sec, asymptotic,
+                replace(proto, q_z_tx=q, pre_attenuation=tb), sec,
             )
             for n, g, loss, q, tb in zip(
                 *(a.ravel().tolist() for a in (n_mean, g2, loss_db, q_best, t_best))
@@ -218,7 +213,6 @@ def optimized_sps_rate(
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
     sec: SecurityParams,
-    asymptotic: bool = False,
 ) -> tuple[float, ProtocolConfig]:
     """Best SPS rate over basis ratio and pre-attenuation.
 
@@ -227,7 +221,7 @@ def optimized_sps_rate(
     zero rather than raising. One lane of ``_tune_sps``.
     """
     n_mean, g2 = _sps_parameters(source)
-    rate, q_tx, t = _tune_sps(n_mean, g2, channel.channel_loss_db, channel, proto, sec, asymptotic)
+    rate, q_tx, t = _tune_sps(n_mean, g2, channel.channel_loss_db, channel, proto, sec)
     return float(rate), replace(proto, q_z_tx=float(q_tx), pre_attenuation=float(t))
 
 
@@ -304,7 +298,7 @@ def _tune_wcp(
     sec: SecurityParams,
     concentration: str = "hoeffding",
 ) -> list[tuple[float, WcpIntensities, float]]:
-    """Finite-mode ``optimized_wcp_rate`` for a sequence of losses at once.
+    """``optimized_wcp_rate`` for a sequence of losses at once.
 
     Each loss scores the seed grid in its own ``_wcp_lanes`` call, which
     keeps one grid in memory at a time. The refinement then runs for
@@ -331,35 +325,20 @@ def optimized_wcp_rate(
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
     sec: SecurityParams,
-    asymptotic: bool = False,
     concentration: str = "hoeffding",
 ) -> tuple[float, WcpIntensities, ProtocolConfig]:
-    """Best decoy-WCP rate over basis ratio, intensities and probabilities.
+    """Best finite-key decoy-WCP rate over basis ratio, intensities and probabilities.
 
-    Coarse grid scan followed by coordinate-wise golden refinement.
-    In asymptotic mode the decoy estimation is exact, so only the
-    signal intensity is searched, at the largest ``Q_TX_GRID`` basis
-    ratio. In finite mode the
+    Coarse grid scan followed by coordinate-wise golden refinement. The
     comparator runs on the conventional 50:50 receiver split
-    (``WCP_RECEIVER_Z_RATIO``) rather than the single-photon
-    receiver's 9:1 optics.
+    (``WCP_RECEIVER_Z_RATIO``) rather than the single-photon receiver's
+    9:1 optics.
 
-    In finite mode the whole grid is scored in one array call
-    (``_wcp_lanes``) and its first best point seeds the refinement,
-    which evaluates ``wcp_finite_key_rate`` one point at a time on
-    floats; ``_tune_wcp`` runs the same refinement for many losses at
-    once.
+    The whole grid is scored in one array call (``_wcp_lanes``) and its
+    first best point seeds the refinement, which evaluates
+    ``wcp_finite_key_rate`` one point at a time on floats;
+    ``_tune_wcp`` runs the same refinement for many losses at once.
     """
-    if asymptotic:
-        # The rate is q_z_tx q_z_rx times a function of mu alone, so the
-        # largest basis ratio wins at every mu.
-        cfg = replace(proto, q_z_tx=max(Q_TX_GRID))
-        mu, rate = _golden_max(
-            lambda m: wcp_asymptotic_practical_rate(m, channel, cfg, sec), 1e-3, 1.0
-        )
-        intensities = WcpIntensities(mu_signal=mu, mu_decoy=mu / 2.0, p_signal=1.0, p_decoy=0.0)
-        return rate, intensities, cfg
-
     proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
 
     def score(*point) -> float:
@@ -452,7 +431,6 @@ def finite_boundary(
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
     sec: SecurityParams,
-    asymptotic: bool = False,
 ) -> BoundaryCurve:
     """Break-even locus of the finite-key pipelines in the (<n>, g2) plane.
 
@@ -461,14 +439,14 @@ def finite_boundary(
     the exact minimum viable mean (at g2 = 0) is prepended as the first
     curve point. All bisections run as lanes of one lane-tuner call per
     two steps, which scores each lane's midpoint and both quarter
-    points. ``asymptotic=True`` evaluates both pipelines in their
-    infinite-block limit.
+    points. Both pipelines run at the configured block size; the ideal
+    closed-form boundary is ``keyrates.asymptotic.advantage_boundary``.
     """
     ch = replace(channel, channel_loss_db=loss_db)
-    r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec, asymptotic=asymptotic)
+    r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec)
 
     def sps_rates(n_mean, g2) -> np.ndarray:
-        return _tune_sps(n_mean, g2, loss_db, channel, proto, sec, asymptotic)[0]
+        return _tune_sps(n_mean, g2, loss_db, channel, proto, sec)[0]
 
     n_grid = np.array(sorted(grid), dtype=float)
     n_grid = n_grid[sps_rates(n_grid, 0.0) >= r_wcp]

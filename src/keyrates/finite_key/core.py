@@ -460,7 +460,6 @@ def _sps_lanes(
     channel: ChannelDetectorModel,
     proto: ProtocolConfig,
     sec: SecurityParams,
-    asymptotic: bool = False,
 ):
     """``sps_expected_rate(...).rate_per_pulse`` over broadcast lanes.
 
@@ -517,7 +516,6 @@ def _sps_lanes(
                 g2_launched * (mean * mean) / 2.0,
                 q_z_tx,
                 sec,
-                asymptotic,
             )
             valid = lane_ok & _protocol_valid(proto.q_z_tx, proto.q_z_rx, block, t) & (q > 0.0)
             positive, signed, bounded = _sps_moment_rules(mean, g2_launched)

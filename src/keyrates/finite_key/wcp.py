@@ -328,8 +328,8 @@ def wcp_asymptotic_practical_rate(
     In the asymptotic limit the decoy estimation becomes exact, so the
     vacuum and single-photon yields and the single-photon error rate
     take their true values; misalignment, dark counts, sifting and
-    error-correction overheads remain. Used for break-even boundaries
-    in the asymptotic regime.
+    error-correction overheads remain. The tuned ``optimized_wcp_rate``
+    stays below it on the same receiver as the block grows.
     """
     if mu <= 0:
         raise ValueError(f"mu must be > 0, got {mu}")

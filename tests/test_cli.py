@@ -318,17 +318,17 @@ def test_more_pulses_than_binomial_sampling_takes_is_config_error(tmp_path, caps
     assert err[0].startswith("error: TooManyPulses:")
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["rate"],
-        ["sweep", "--loss-min", "0", "--loss-max", "1", "--steps", "2"],
-        ["compare"],
-        ["optimize", "--target", "sps", "--generations", "1"],
-        ["simulate", "--reps", "1", "--seed", "0"],
-    ],
-    ids=lambda command: command[0],
-)
+# Each subcommand that uses the configured SPS, with options that keep it short.
+_SPS_COMMANDS = [
+    ["rate"],
+    ["sweep", "--loss-min", "0", "--loss-max", "1", "--steps", "2"],
+    ["compare"],
+    ["optimize", "--target", "sps", "--generations", "1"],
+    ["simulate", "--reps", "1", "--seed", "0"],
+]
+
+
+@pytest.mark.parametrize("command", _SPS_COMMANDS, ids=lambda command: command[0])
 def test_unphysical_launch_is_config_error(tmp_path, capsys, command):
     # The mean squared underflows, so the launched g2 is undefined.
     text = FIELD_CFG_TEXT.replace("mean_photon_number = 0.292", "mean_photon_number = 1e-300")
@@ -337,6 +337,20 @@ def test_unphysical_launch_is_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: UndefinedG2:")
+
+
+@pytest.mark.parametrize("command", _SPS_COMMANDS, ids=lambda command: command[0])
+def test_source_with_negative_p0_is_config_error(tmp_path, capsys, command):
+    # p0 = 1 - <n> + g2 <n>^2 / 2 < 0: no SPS has these moments, so the
+    # tuning commands reject it as `rate` does instead of tuning it to 0.
+    text = FIELD_CFG_TEXT.replace("mean_photon_number = 0.292", "mean_photon_number = 2.92")
+    name, *options = command
+    assert run([name, write_cfg(tmp_path, text), *options]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        "error: NonPhysicalSource: (<n>=2.92, g2=0.00698) gives probabilities outside"
+        " [0, 1]: (-1.89024, 2.86049, 0.0297571)"
+    ]
 
 
 class TestSweepCommand:

@@ -23,6 +23,7 @@ from keyrates.finite_key import (
     optimized_wcp_rate,
     sps_expected_rate,
     sweep_rates,
+    wcp_asymptotic_practical_rate,
     wcp_finite_key_rate,
 )
 from keyrates.finite_key.comparison import (
@@ -93,15 +94,12 @@ class TestOptimizedRates:
         assert tuned == reference
 
 
-    @pytest.mark.parametrize("asymptotic", [False, True])
     # At 50 dB every candidate scores 0 and the first one must win.
     @pytest.mark.parametrize("loss_db", [0.0, 14.6, 30.0, 50.0])
-    def test_sps_lane_tuner_picks_the_scalar_scan_point(self, loss_db, asymptotic):
+    def test_sps_lane_tuner_picks_the_scalar_scan_point(self, loss_db):
         channel = replace(FIELD_CHANNEL, channel_loss_db=loss_db)
-        rate, proto = optimized_sps_rate(
-            FIELD_SOURCE, channel, FIELD_PROTO, FIELD_SEC, asymptotic=asymptotic
-        )
-        reference = _scalar_sps_tuner(FIELD_SOURCE, channel, FIELD_PROTO, FIELD_SEC, asymptotic)
+        rate, proto = optimized_sps_rate(FIELD_SOURCE, channel, FIELD_PROTO, FIELD_SEC)
+        reference = _scalar_sps_tuner(FIELD_SOURCE, channel, FIELD_PROTO, FIELD_SEC)
         assert (rate, proto.q_z_tx, proto.pre_attenuation) == reference
 
     def test_sweep_tunes_each_loss_like_a_single_lane(self):
@@ -179,7 +177,9 @@ def _single_loss_wcp(channel, proto, losses, concentration):
     tuned = []
     for loss in losses:
         ch = replace(channel, channel_loss_db=loss)
-        rate, intensities, cfg = optimized_wcp_rate(ch, proto, FIELD_SEC, False, concentration)
+        rate, intensities, cfg = optimized_wcp_rate(
+            ch, proto, FIELD_SEC, concentration=concentration
+        )
         tuned.append((rate, intensities, cfg.q_z_tx))
     return tuned
 
@@ -255,34 +255,31 @@ _BOUNDARY_LANE = st.tuples(
     st.integers(min_value=1, max_value=4).flatmap(
         lambda k: st.lists(_BOUNDARY_LANE, min_size=3 * k, max_size=3 * k)
     ),
-    st.booleans(),
 )
-def test_stacked_sps_lanes_match_each_row_alone(lanes, asymptotic):
+def test_stacked_sps_lanes_match_each_row_alone(lanes):
     # finite_boundary scores its three probes per lane as rows of one call.
     n_mean, share, loss = np.array(lanes).T.reshape(3, 3, -1)
     g2 = share / n_mean
-    stacked = _tune_sps(n_mean, g2, loss, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, asymptotic)
+    stacked = _tune_sps(n_mean, g2, loss, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
     for row in range(3):
-        alone = _tune_sps(
-            n_mean[row], g2[row], loss[row], FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, asymptotic
-        )
+        alone = _tune_sps(n_mean[row], g2[row], loss[row], FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert [a[row].tolist() for a in stacked] == [a.tolist() for a in alone]
     assert np.all(stacked[0][np.logical_not(_sps_valid(n_mean, g2))] == 0.0)
 
 
-def _scalar_sps_rate(source, channel, proto, sec, asymptotic):
+def _scalar_sps_rate(source, channel, proto, sec):
     try:
-        return sps_expected_rate(source, channel, proto, sec, asymptotic=asymptotic).rate_per_pulse
+        return sps_expected_rate(source, channel, proto, sec).rate_per_pulse
     except (InsufficientBlock, NonPhysicalSource):
         return 0.0
 
 
-def _scalar_sps_tuner(source, channel, proto, sec, asymptotic=False):
+def _scalar_sps_tuner(source, channel, proto, sec):
     """Reference SPS tuner: one golden-section search per basis ratio, in turn."""
 
     def rate_at(q_tx, t):
         cfg = replace(proto, q_z_tx=q_tx, pre_attenuation=t)
-        return _scalar_sps_rate(source, channel, cfg, sec, asymptotic)
+        return _scalar_sps_rate(source, channel, cfg, sec)
 
     best = (-1.0, None, None)
     for q_tx in Q_TX_GRID:
@@ -294,17 +291,17 @@ def _scalar_sps_tuner(source, channel, proto, sec, asymptotic=False):
     return best
 
 
-def _scalar_finite_boundary(loss_db, grid, channel, proto, sec, asymptotic):
+def _scalar_finite_boundary(loss_db, grid, channel, proto, sec):
     """Reference break-even locus: every bisection runs alone, on the scalar tuner."""
     ch = replace(channel, channel_loss_db=loss_db)
-    r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec, asymptotic=asymptotic)
+    r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec)
 
     def sps_rate(n_mean, g2):
         try:
             source = SourceSpec(SourceKind.SPS, n_mean, g2)
         except NonPhysicalSource:
             return 0.0
-        return _scalar_sps_tuner(source, ch, proto, sec, asymptotic)[0]
+        return _scalar_sps_tuner(source, ch, proto, sec)[0]
 
     points = []
     for n_mean in sorted(grid):
@@ -333,14 +330,14 @@ def _scalar_finite_boundary(loss_db, grid, channel, proto, sec, asymptotic):
     return tuple(points)
 
 
-def _one_step_per_call_boundary(loss_db, grid, asymptotic):
+def _one_step_per_call_boundary(loss_db, grid):
     """Reference locus: ``finite_boundary``'s lockstep bisection taking one
     step per lane-tuner call, ``BOUNDARY_BISECTION_ITERATIONS`` calls in all."""
     ch = replace(FIELD_CHANNEL, channel_loss_db=loss_db)
-    r_wcp, _, _ = optimized_wcp_rate(ch, FIELD_PROTO, FIELD_SEC, asymptotic=asymptotic)
+    r_wcp, _, _ = optimized_wcp_rate(ch, FIELD_PROTO, FIELD_SEC)
 
     def sps_rates(n_mean, g2):
-        return _tune_sps(n_mean, g2, loss_db, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, asymptotic)[0]
+        return _tune_sps(n_mean, g2, loss_db, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)[0]
 
     n_grid = np.array(sorted(grid), dtype=float)
     n_grid = n_grid[sps_rates(n_grid, 0.0) >= r_wcp]
@@ -533,48 +530,30 @@ class TestFiniteBoundary:
         assert curve.min_mean_photon_number == pytest.approx(0.078, rel=0.15)
         assert curve.max_g2 == pytest.approx(0.41, rel=0.15)
 
-    def test_asymptotic_mode_endpoints(self):
-        grid = [0.28, 0.35, 0.45, 0.6, 0.8]
-        curve = finite_boundary(
-            0.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, asymptotic=True
-        )
-        assert curve.min_mean_photon_number == pytest.approx(0.268, rel=0.15)
-        assert curve.max_g2 == pytest.approx(0.11, rel=0.15)
-
-    # Each grid has one point below the threshold, which the curve skips.
-    @pytest.mark.parametrize(
-        "asymptotic, grid", [(False, [0.07, 0.1, 0.3]), (True, [0.2, 0.35, 0.8])]
-    )
-    def test_lockstep_bisection_matches_scalar_reference(self, asymptotic, grid):
-        curve = finite_boundary(
-            0.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, asymptotic=asymptotic
-        )
-        reference = _scalar_finite_boundary(
-            0.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, asymptotic
-        )
+    def test_lockstep_bisection_matches_scalar_reference(self):
+        # The grid has one point below the threshold, which the curve skips.
+        grid = [0.07, 0.1, 0.3]
+        curve = finite_boundary(0.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        reference = _scalar_finite_boundary(0.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert curve.points == reference
         # Two bisected grid points plus the bisected g2 = 0 endpoint.
         assert len(curve.points) == len(grid) and curve.points[0][1] == 0.0
 
-    # Every loss meets both grids and both modes, and each grid both modes.
+    # Every loss meets both grids.
     @pytest.mark.parametrize(
-        "loss_db, points, asymptotic",
-        [(0.0, 25, False), (0.0, 60, True), (5.0, 60, False), (5.0, 25, True),
-         (14.6, 25, False), (14.6, 60, True)],
+        "loss_db, points", [(0.0, 25), (0.0, 60), (5.0, 60), (5.0, 25), (14.6, 25), (14.6, 60)]
     )
-    def test_two_steps_per_call_match_the_one_step_loop(self, loss_db, points, asymptotic):
+    def test_two_steps_per_call_match_the_one_step_loop(self, loss_db, points):
         grid = _geometric_grid(points)
-        curve = finite_boundary(
-            loss_db, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, asymptotic=asymptotic
-        )
-        assert curve.points == _one_step_per_call_boundary(loss_db, grid, asymptotic)
+        curve = finite_boundary(loss_db, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        assert curve.points == _one_step_per_call_boundary(loss_db, grid)
 
     @pytest.mark.parametrize("iterations", [1, 7])
     def test_odd_iteration_count_matches_the_one_step_loop(self, monkeypatch, iterations):
         monkeypatch.setattr(comparison, "BOUNDARY_BISECTION_ITERATIONS", iterations)
         grid = _geometric_grid(25)
         curve = finite_boundary(5.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
-        assert curve.points == _one_step_per_call_boundary(5.0, grid, False)
+        assert curve.points == _one_step_per_call_boundary(5.0, grid)
 
     def test_cli_boundary_makes_22_tuner_calls(self, monkeypatch, capsys):
         # Two screening calls, then one per two of the 40 bisection steps.
@@ -594,9 +573,7 @@ class TestFiniteBoundary:
         # largest g2 and <n> = 1e-4 matches too: no g2 = 0 point is added.
         grid = [0.1, 0.5]
         curve = finite_boundary(80.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
-        reference = _scalar_finite_boundary(
-            80.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC, False
-        )
+        reference = _scalar_finite_boundary(80.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert curve.points == reference == ((0.1, 1.0 / 0.1), (0.5, 1.0 / 0.5))
 
     def test_empty_when_grid_below_threshold(self):
@@ -696,6 +673,28 @@ def test_tuned_wcp_rate_does_not_rise_with_misalignment(probs, concentration):
         for p in sorted(probs)
     ]
     assert all(_non_increasing(lane) for lane in zip(*tuned))
+
+
+# The WCP twin of test_block_size_convergence_from_below: the tuned finite
+# comparator approaches, from below, its exact-decoy limit on the same 50:50
+# receiver. That limit's rate is q_z_tx q_z_rx times a function of mu alone,
+# so it takes the largest basis ratio and one golden search over mu.
+@pytest.mark.parametrize("concentration", ["hoeffding", "chernoff"])
+@pytest.mark.parametrize("loss_db", [0.0, 14.6, 30.0])
+def test_tuned_wcp_rate_rises_with_block_to_the_exact_decoy_limit(loss_db, concentration):
+    channel = replace(FIELD_CHANNEL, channel_loss_db=loss_db)
+    rates = [
+        optimized_wcp_rate(
+            channel, replace(FIELD_PROTO, block_size=10.0**k), FIELD_SEC, concentration
+        )[0]
+        for k in range(6, 17)
+    ]
+    limit_proto = replace(FIELD_PROTO, q_z_tx=max(Q_TX_GRID), q_z_rx=WCP_RECEIVER_Z_RATIO)
+    _, limit = _golden_max(
+        lambda mu: wcp_asymptotic_practical_rate(mu, channel, limit_proto, FIELD_SEC), 1e-3, 1.0
+    )
+    assert all(a <= b for a, b in zip(rates, rates[1:]))
+    assert rates[-1] <= limit
 
 
 # Pre-attenuation maps (<n>, g2) to (t<n>, g2), so at a fixed g2 a brighter

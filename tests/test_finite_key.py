@@ -361,13 +361,11 @@ def test_finite_rate_rises_with_block_below_asymptotic(
     assert all(f <= rate(block, True) for f, block in zip(finite, blocks))
 
 
-def _scalar_sps_rate(n_mean, g2, q_z_tx, pre_attenuation, channel, asymptotic):
+def _scalar_sps_rate(n_mean, g2, q_z_tx, pre_attenuation, channel):
     try:
         source = SourceSpec(SourceKind.SPS, n_mean, g2)
         proto = replace(FIELD_PROTO, q_z_tx=q_z_tx, pre_attenuation=pre_attenuation)
-        return sps_expected_rate(
-            source, channel, proto, FIELD_SEC, asymptotic=asymptotic
-        ).rate_per_pulse
+        return sps_expected_rate(source, channel, proto, FIELD_SEC).rate_per_pulse
     except (InsufficientBlock, NonPhysicalSource, UndefinedG2):
         return 0.0
 
@@ -383,21 +381,19 @@ _sps_point = st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    asymptotic=st.booleans(),
     dark_count_rate=st.sampled_from([0.0, 43.0, 4.3e4]),
     points=st.lists(_sps_point, min_size=1, max_size=8),
 )
 # Random draws rarely reach p0 < 0 with a positive attenuated rate
 # (<n> = 1.2, g2 = 0.2 at t = 0.1), which the scalar path rejects.
 @example(
-    asymptotic=False,
     dark_count_rate=43.0,
     points=[(1.2, 0.24, 0.9, 0.1, 0.0), (1.2, 0.24, 0.9, 1.0, 0.0), (0.3, 0.1, 0.9, 0.5, 10.0)],
 )
-@example(asymptotic=True, dark_count_rate=0.0, points=[(1.2, 0.24, 0.9, 0.1, 0.0)])
+@example(dark_count_rate=0.0, points=[(1.2, 0.24, 0.9, 0.1, 0.0)])
 # <n> = 1e-200 squares to 0: both paths score the undefined launched g2 as 0.
-@example(asymptotic=False, dark_count_rate=43.0, points=[(1e-200, 3e-201, 0.9, 1.0, 0.0)])
-def test_sps_kernel_matches_scalar_path(asymptotic, dark_count_rate, points):
+@example(dark_count_rate=43.0, points=[(1e-200, 3e-201, 0.9, 1.0, 0.0)])
+def test_sps_kernel_matches_scalar_path(dark_count_rate, points):
     # Same expressions in the same order; NumPy's log2 may differ from
     # libm's in the last bit, and near-zero rates lose digits to
     # cancellation, so the tolerance is scaled by the coherent-light
@@ -405,10 +401,10 @@ def test_sps_kernel_matches_scalar_path(asymptotic, dark_count_rate, points):
     channel = replace(FIELD_CHANNEL, dark_count_rate_cps=dark_count_rate)
     columns = [(n, share / n, q, t, loss) for n, share, q, t, loss in points]
     n_col, g2_col, q_col, t_col, loss_col = zip(*columns)
-    lanes = _sps_lanes(n_col, g2_col, q_col, loss_col, channel, FIELD_PROTO, FIELD_SEC, asymptotic)
+    lanes = _sps_lanes(n_col, g2_col, q_col, loss_col, channel, FIELD_PROTO, FIELD_SEC)
     kernel = lanes(t_col)
     for (n, g2, q, t, loss), got in zip(columns, kernel):
         link = replace(channel, channel_loss_db=loss)
-        expected = _scalar_sps_rate(n, g2, q, t, link, asymptotic)
+        expected = _scalar_sps_rate(n, g2, q, t, link)
         assert (got == 0.0) == (expected == 0.0), (n, g2, q, t, loss)
         assert abs(got - expected) <= 1e-10 * link_transmittance(link) / math.e
