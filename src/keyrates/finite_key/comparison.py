@@ -100,8 +100,9 @@ def _golden_max(f, lo, hi, iterations: int = 30):
     ``f`` maps a float to its value, or an array of points to their
     values in independent lanes searched in lockstep; the bounds ``lo``
     and ``hi`` are then shared or per lane. Each lane takes the same
-    branches and returns the same point and value as a float search of
-    that lane alone.
+    branches and returns the same point as a float search of that lane
+    alone. Returns the point only, after ``iterations + 2`` calls of
+    ``f``; a caller that needs its value scores it once.
     """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
@@ -116,8 +117,7 @@ def _golden_max(f, lo, hi, iterations: int = 30):
         fx = f(x)
         c, d = where(left, x, d), where(left, c, x)
         fc, fd = where(left, fx, fd), where(left, fc, fx)
-    best = 0.5 * (a + b)
-    return best, f(best)
+    return 0.5 * (a + b)
 
 
 def _itp_bracket(margin, lo, hi, m_lo, m_hi) -> tuple[float, float]:
@@ -178,7 +178,8 @@ def _tune_sps(
     rate_at = _sps_lanes(
         n_mean[..., None], g2[..., None], q_grid, loss_db[..., None], channel, proto, sec
     )
-    t, rate = _golden_max(rate_at, 1e-4, 1.0)
+    t = _golden_max(rate_at, 1e-4, 1.0)
+    rate = rate_at(t)
     unattenuated = rate_at(1.0)
     keep_one = unattenuated >= rate
     t = np.where(keep_one, 1.0, t)
@@ -275,8 +276,8 @@ def _refine_wcp(score, q_tx, mu_s, mu_d, p_s, share):
     ``score(mu_s, mu_d, p_s, p_d, q_tx)`` is ``_wcp_rate_or_zero`` on
     floats or a ``_wcp_lanes`` scorer on lanes. Every probe lies strictly
     inside its bounds, so it keeps ``0 < mu_d < mu_s``, ``0 < p_s < 1``
-    and ``0 < share < 1``. Returns the rate of the last search and the
-    refined ``(mu_s, mu_d, p_s, p_d)``.
+    and ``0 < share < 1``. Returns the refined ``(mu_s, mu_d, p_s, p_d)``,
+    unscored.
     """
     minimum = _ops(mu_d).minimum  # min, or np.minimum on lanes
 
@@ -284,11 +285,11 @@ def _refine_wcp(score, q_tx, mu_s, mu_d, p_s, share):
         return score(mu_s, mu_d, p_s, (1.0 - p_s) * share, q_tx)
 
     for _ in range(2):
-        mu_s, _ = _golden_max(lambda v: rate_at(v, minimum(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
-        mu_d, _ = _golden_max(lambda v: rate_at(mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
-        p_s, _ = _golden_max(lambda v: rate_at(mu_s, mu_d, v, share), 0.05, 0.98, 20)
-        share, rate = _golden_max(lambda v: rate_at(mu_s, mu_d, p_s, v), 0.02, 0.98, 20)
-    return rate, mu_s, mu_d, p_s, (1.0 - p_s) * share
+        mu_s = _golden_max(lambda v: rate_at(v, minimum(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
+        mu_d = _golden_max(lambda v: rate_at(mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
+        p_s = _golden_max(lambda v: rate_at(mu_s, mu_d, v, share), 0.05, 0.98, 20)
+        share = _golden_max(lambda v: rate_at(mu_s, mu_d, p_s, v), 0.02, 0.98, 20)
+    return mu_s, mu_d, p_s, (1.0 - p_s) * share
 
 
 def _tune_wcp(
@@ -312,7 +313,7 @@ def _tune_wcp(
     seeds = [_wcp_seed(loss, channel, proto, sec, concentration) for loss in losses.tolist()]
     lanes = _wcp_lanes(losses, channel, proto, sec, concentration)
     q_tx, *seed = (np.array(column, dtype=float) for column in zip(*seeds))
-    _, *point = _refine_wcp(lanes, q_tx, *seed)
+    point = _refine_wcp(lanes, q_tx, *seed)
     tuned = []
     for loss, q, *lane in zip(losses.tolist(), q_tx.tolist(), *(a.tolist() for a in point)):
         ch = replace(channel, channel_loss_db=loss)
@@ -345,8 +346,8 @@ def optimized_wcp_rate(
         return _wcp_rate_or_zero(*point, channel, proto, sec, concentration)
 
     q_tx, *seed = _wcp_seed(channel.channel_loss_db, channel, proto, sec, concentration)
-    rate, *point = _refine_wcp(score, q_tx, *seed)
-    return rate, WcpIntensities(*point), replace(proto, q_z_tx=q_tx)
+    point = _refine_wcp(score, q_tx, *seed)
+    return score(*point, q_tx), WcpIntensities(*point), replace(proto, q_z_tx=q_tx)
 
 
 def compare(

@@ -99,20 +99,16 @@ def _poisson_gains(mu, eta, p_dc, p_mis, exp=math.exp):
     return 1.0 - (1.0 - p_dc) * miss, 0.5 * p_dc * miss + p_mis * (1.0 - miss)
 
 
-def _yield_floor(lo, up, tau0, tau1, mu_s, mu_d):
+def _yield_floor(lo_decoy, up_signal, lo_vacuum, up_vacuum, tau0, weight, ratio, gap):
     """Vacuum and single-photon count floors from per-intensity bounds.
 
-    ``lo`` and ``up`` hold the signal, decoy and vacuum bounds rescaled
-    to emission rates. Pure arithmetic, so floats and NumPy arrays give
-    bit-identical results.
+    The bounds are rescaled to emission rates. ``weight``, ``ratio`` and
+    ``gap`` are ``tau1 mu_s``, ``mu_d^2 / mu_s^2`` and ``mu_s mu_d -
+    mu_d^2``, shared by both bases. Pure arithmetic, so floats and NumPy
+    arrays give bit-identical results.
     """
-    s0 = tau0 * lo[2]
-    s1 = (
-        tau1
-        * mu_s
-        * (lo[1] - up[2] - (mu_d * mu_d / (mu_s * mu_s)) * (up[0] - s0 / tau0))
-        / (mu_s * mu_d - mu_d * mu_d)
-    )
+    s0 = tau0 * lo_vacuum
+    s1 = weight * (lo_decoy - up_vacuum - ratio * (up_signal - s0 / tau0)) / gap
     return s0, s1
 
 
@@ -140,11 +136,13 @@ def _wcp_expectation(mus, probs, q_z_tx, eta, p_dc, p_mis, proto: ProtocolConfig
         tau1 = tau1 + p * decay * mu
     n_s = proto.block_size / (q_sift_z * q_avg)
     n_zk, n_xk, m_zk, m_xk = [], [], [], []
+    sent_z, sent_x = n_s * q_sift_z, n_s * q_sift_x
     for p, (gain, error_gain) in zip(probs, gains):
-        n_zk.append(n_s * q_sift_z * p * gain)
-        n_xk.append(n_s * q_sift_x * p * gain)
-        m_zk.append(n_s * q_sift_z * p * error_gain)
-        m_xk.append(n_s * q_sift_x * p * error_gain)
+        z, x = sent_z * p, sent_x * p
+        n_zk.append(z * gain)
+        n_xk.append(x * gain)
+        m_zk.append(z * error_gain)
+        m_xk.append(x * error_gain)
     return n_s, tau0, tau1, n_zk, n_xk, m_zk, m_xk
 
 
@@ -166,35 +164,44 @@ def _wcp_key_lengths(
     scales = []
     for mu, p in zip(mus, probs):
         scales.append((p > 0.0, ops.exp(mu) / p))
+    hoeffding = concentration == "hoeffding"
+    weight, ratio, gap = tau1 * mu_s, mu_d * mu_d / (mu_s * mu_s), mu_s * mu_d - mu_d * mu_d
 
-    def bounds(counts, basis_total):
-        """Pessimistic per-intensity counts rescaled to emission rates.
+    def bound(counts, i, direction, delta):
+        """Pessimistic count of intensity ``i``, rescaled to its emission rate.
 
-        Hoeffding deviations are scaled by the number of detections in
-        the basis, the trials over which each per-intensity tally (a
-        count or an error count) is accumulated.
+        Hoeffding deviations ``delta`` are scaled by the number of
+        detections in the basis, the trials over which each
+        per-intensity tally (a count or an error count) is accumulated.
         """
-        hoeffding = concentration == "hoeffding"
-        delta = ops.sqrt(0.5 * basis_total * beta) if hoeffding else None
-        lower, upper = [], []
-        for (sent, scale), n in zip(scales, counts):
-            if hoeffding:
-                lo, up = ops.maximum(0.0, n - delta), n + delta
-            else:
-                lo, up = _chernoff(n, beta, "lower", ops), _chernoff(n, beta, "upper", ops)
-            lower.append(ops.where(sent, scale * lo, 0.0))
-            upper.append(ops.where(sent, scale * up, 0.0))
-        return lower, upper
+        n = counts[i]
+        if not hoeffding:
+            n = _chernoff(n, beta, direction, ops)
+        elif direction == "lower":
+            n = ops.maximum(0.0, n - delta)
+        else:
+            n = n + delta
+        sent, scale = scales[i]
+        return ops.where(sent, scale * n, 0.0)
+
+    def floor(counts, delta):
+        """``_yield_floor`` of one basis, from the four bounds it reads."""
+        return _yield_floor(
+            bound(counts, 1, "lower", delta), bound(counts, 0, "upper", delta),
+            bound(counts, 2, "lower", delta), bound(counts, 2, "upper", delta),
+            tau0, weight, ratio, gap,
+        )
 
     n_z_total = sum(n_zk)
+    delta_z = ops.sqrt(0.5 * n_z_total * beta) if hoeffding else None
+    delta_x = ops.sqrt(0.5 * sum(n_xk) * beta) if hoeffding else None
     no_gain = ops.where(n_z_total > 0.0, False, True)
-    s_z0, s_z1 = _yield_floor(*bounds(n_zk, n_z_total), tau0, tau1, mu_s, mu_d)
-    _, s_x1 = _yield_floor(*bounds(n_xk, sum(n_xk)), tau0, tau1, mu_s, mu_d)
+    s_z0, s_z1 = floor(n_zk, delta_z)
+    _, s_x1 = floor(n_xk, delta_x)
     infeasible = (probs[0] > 0) & (probs[1] > 0) & (s_z1 < 0)
     s_z1 = ops.maximum(0.0, s_z1)
     s_x1 = ops.maximum(0.0, s_x1)
-    _, m_up = bounds(m_xk, sum(n_xk))
-    v_x1 = tau1 * m_up[1] / mu_d
+    v_x1 = tau1 * bound(m_xk, 1, "upper", delta_x) / mu_d
 
     # The single-photon phase error, plus the deviation of carrying an
     # error rate observed on s_x1 over to s_z1; 0.5 without both floors.

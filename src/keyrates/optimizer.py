@@ -223,9 +223,8 @@ def _coordinate_polish(
 
     for _ in range(2):
         for i in range(len(genes)):
-            candidate, improved = _golden_max(
-                lambda x: value(i, x), float(lows[i]), float(highs[i]), 40
-            )
+            candidate = _golden_max(lambda x: value(i, x), float(lows[i]), float(highs[i]), 40)
+            improved = value(i, candidate)
             if improved > best:
                 genes[i] = candidate
                 best = improved

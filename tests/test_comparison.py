@@ -172,6 +172,33 @@ def _assert_valid_wcp_points(points):
         assert np.all((0.0 < p_d) & (p_d < 1.0 - p_s))
 
 
+class TestWcpEvaluationCounts:
+    """The WCP tuners' evaluation counts, pinned: they do not depend on the
+    machine. A refinement makes 2 passes of 4 golden searches of 20
+    iterations, 176 scores; the tuned point is scored once more on floats."""
+
+    def _counts(self, points):
+        return len(points["lanes"]), len(points["float"])
+
+    def test_tune_wcp_over_the_compare_scan(self):
+        # One seed-grid call per loss, then the lockstep refinement.
+        losses = [FIELD_CHANNEL.channel_loss_db, *map(float, range(31))]
+        with _scored_wcp_points() as points:
+            _tune_wcp(losses, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        assert self._counts(points) == (208, 32)
+
+    def test_optimized_wcp_rate(self):
+        with _scored_wcp_points() as points:
+            optimized_wcp_rate(FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        assert self._counts(points) == (1, 177)
+
+    def test_cli_compare(self, capsys):
+        # The 32-loss sweep, then one optimized_wcp_rate per crossover probe.
+        with _scored_wcp_points() as points:
+            assert run(["compare", bundled_field_config()]) == 0
+        assert self._counts(points) == (213, 917)
+
+
 def _single_loss_wcp(channel, proto, losses, concentration):
     """``(rate, intensities, q_z_tx)`` of one float ``optimized_wcp_rate`` call per loss."""
     tuned = []
@@ -233,12 +260,32 @@ def test_golden_lanes_with_per_lane_bounds_match_single_searches():
     def lanes(x):
         return np.minimum(-((x - peaks) ** 2), caps)
 
-    best, value = _golden_max(lanes, lo, hi, 20)
+    best = _golden_max(lanes, lo, hi, 20)
+    values = lanes(best)
     for i in range(peaks.size):
-        alone = _golden_max(
-            lambda x: min(-((x - peaks[i]) ** 2), caps[i]), float(lo[i]), float(hi[i]), 20
-        )
-        assert (best[i], value[i]) == alone
+
+        def alone(x):
+            return min(-((x - peaks[i]) ** 2), caps[i])
+
+        point = _golden_max(alone, float(lo[i]), float(hi[i]), 20)
+        assert (best[i], values[i]) == (point, alone(point))
+
+
+@pytest.mark.parametrize("iterations", [None, 0, 1, 20])
+@pytest.mark.parametrize("lanes", [False, True])
+def test_golden_max_scores_two_starting_points_and_one_per_iteration(lanes, iterations):
+    # The returned point itself is not scored: a caller that needs its value scores it.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -((x - 0.3) ** 2)
+
+    lo, hi = (np.zeros(3), np.ones(3)) if lanes else (0.0, 1.0)
+    args = () if iterations is None else (iterations,)
+    best = _golden_max(f, lo, hi, *args)
+    assert len(calls) == (30 if iterations is None else iterations) + 2
+    assert isinstance(best, np.ndarray) == lanes
 
 
 # A finite-boundary lane: <n> down to the g2 = 0 endpoint's 1e-4 and up
@@ -283,7 +330,8 @@ def _scalar_sps_tuner(source, channel, proto, sec):
 
     best = (-1.0, None, None)
     for q_tx in Q_TX_GRID:
-        t, rate = _golden_max(lambda t: rate_at(q_tx, t), 1e-4, 1.0)
+        t = _golden_max(lambda t: rate_at(q_tx, t), 1e-4, 1.0)
+        rate = rate_at(q_tx, t)
         if rate_at(q_tx, 1.0) >= rate:
             t, rate = 1.0, rate_at(q_tx, 1.0)
         if rate > best[0]:
@@ -393,10 +441,11 @@ def _scalar_wcp_tuner(channel, proto, sec, concentration):
                             best_rate, best = rate, (q_tx, mu_s, mu_d, p_s, share)
     q_tx, mu_s, mu_d, p_s, share = best
     for _ in range(2):
-        mu_s, _ = _golden_max(lambda v: rate_at(q_tx, v, min(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
-        mu_d, _ = _golden_max(lambda v: rate_at(q_tx, mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
-        p_s, _ = _golden_max(lambda v: rate_at(q_tx, mu_s, mu_d, v, share), 0.05, 0.98, 20)
-        share, best_rate = _golden_max(lambda v: rate_at(q_tx, mu_s, mu_d, p_s, v), 0.02, 0.98, 20)
+        mu_s = _golden_max(lambda v: rate_at(q_tx, v, min(mu_d, 0.9 * v), p_s, share), 0.05, 1.0, 20)
+        mu_d = _golden_max(lambda v: rate_at(q_tx, mu_s, v, p_s, share), 1e-3, 0.95 * mu_s, 20)
+        p_s = _golden_max(lambda v: rate_at(q_tx, mu_s, mu_d, v, share), 0.05, 0.98, 20)
+        share = _golden_max(lambda v: rate_at(q_tx, mu_s, mu_d, p_s, v), 0.02, 0.98, 20)
+    best_rate = rate_at(q_tx, mu_s, mu_d, p_s, share)
     intensities = WcpIntensities(mu_s, mu_d, p_s, (1.0 - p_s) * share)
     return max(best_rate, 0.0), intensities, replace(proto, q_z_tx=q_tx)
 
@@ -690,9 +739,11 @@ def test_tuned_wcp_rate_rises_with_block_to_the_exact_decoy_limit(loss_db, conce
         for k in range(6, 17)
     ]
     limit_proto = replace(FIELD_PROTO, q_z_tx=max(Q_TX_GRID), q_z_rx=WCP_RECEIVER_Z_RATIO)
-    _, limit = _golden_max(
-        lambda mu: wcp_asymptotic_practical_rate(mu, channel, limit_proto, FIELD_SEC), 1e-3, 1.0
-    )
+
+    def limit_at(mu):
+        return wcp_asymptotic_practical_rate(mu, channel, limit_proto, FIELD_SEC)
+
+    limit = limit_at(_golden_max(limit_at, 1e-3, 1.0))
     assert all(a <= b for a, b in zip(rates, rates[1:]))
     assert rates[-1] <= limit
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyrates.asymptotic import wcp_asymptotic_rate
@@ -20,8 +20,12 @@ from keyrates.finite_key import (
 )
 from keyrates.channel import dark_count_prob
 from keyrates.finite_key.comparison import optimized_wcp_rate
+from keyrates.finite_key.core import KeyReport, _chernoff, _float_or_numpy, _ops
 from keyrates.finite_key.wcp import (
     CONCENTRATIONS,
+    WCP_CONCENTRATION_USES,
+    _poisson_gains,
+    _wcp_distil,
     _wcp_expectation,
     _wcp_key_lengths,
     _wcp_lanes,
@@ -253,3 +257,171 @@ def test_tuned_rate_over_numpy_dark_counts_matches_floats(index):
         replace(channel, dark_count_rate_cps=float(dark_count_rate)), PROTO, FIELD_SEC
     )
     assert got[0] == expected[0]
+
+
+def _all_bounds_expectation(mus, probs, q_z_tx, eta, p_dc, p_mis, proto):
+    """Reference ``_wcp_expectation`` writing each tally's product out in full."""
+    exp = _ops(*mus, *probs, q_z_tx, eta, p_dc, p_mis, proto.q_z_rx, proto.block_size).exp
+    q_sift_z = q_z_tx * proto.q_z_rx
+    q_sift_x = (1.0 - q_z_tx) * (1.0 - proto.q_z_rx)
+    gains = []
+    q_avg = tau0 = tau1 = 0
+    for mu, p in zip(mus, probs):
+        gains.append(_poisson_gains(mu, eta, p_dc, p_mis, exp))
+        q_avg = q_avg + p * gains[-1][0]
+        decay = exp(-mu)
+        tau0 = tau0 + p * decay
+        tau1 = tau1 + p * decay * mu
+    n_s = proto.block_size / (q_sift_z * q_avg)
+    n_zk, n_xk, m_zk, m_xk = [], [], [], []
+    for p, (gain, error_gain) in zip(probs, gains):
+        n_zk.append(n_s * q_sift_z * p * gain)
+        n_xk.append(n_s * q_sift_x * p * gain)
+        m_zk.append(n_s * q_sift_z * p * error_gain)
+        m_xk.append(n_s * q_sift_x * p * error_gain)
+    return n_s, tau0, tau1, n_zk, n_xk, m_zk, m_xk
+
+
+def _all_bounds_yield_floor(lo, up, tau0, tau1, mu_s, mu_d):
+    s0 = tau0 * lo[2]
+    s1 = (
+        tau1
+        * mu_s
+        * (lo[1] - up[2] - (mu_d * mu_d / (mu_s * mu_s)) * (up[0] - s0 / tau0))
+        / (mu_s * mu_d - mu_d * mu_d)
+    )
+    return s0, s1
+
+
+def _all_bounds_key_lengths(
+    n_s, n_zk, n_xk, m_zk, m_xk, mus, probs, tau0, tau1, n_z, sec, concentration
+):
+    """Reference ``_wcp_key_lengths`` building all 18 rescaled bounds: the
+    lower and upper bound of each intensity's Z counts, X counts and X
+    error counts, of which the key length reads 9."""
+    ops = _ops(n_s, tau0, tau1, n_z, *n_zk, *n_xk, *m_zk, *m_xk, *mus, *probs)
+    mu_s, mu_d = mus[0], mus[1]
+    eps_1 = sec.eps_pe / WCP_CONCENTRATION_USES
+    beta = math.log(1.0 / eps_1)
+    scales = [(p > 0.0, ops.exp(mu) / p) for mu, p in zip(mus, probs)]
+
+    def bounds(counts, basis_total):
+        hoeffding = concentration == "hoeffding"
+        delta = ops.sqrt(0.5 * basis_total * beta) if hoeffding else None
+        lower, upper = [], []
+        for (sent, scale), n in zip(scales, counts):
+            if hoeffding:
+                lo, up = ops.maximum(0.0, n - delta), n + delta
+            else:
+                lo, up = _chernoff(n, beta, "lower", ops), _chernoff(n, beta, "upper", ops)
+            lower.append(ops.where(sent, scale * lo, 0.0))
+            upper.append(ops.where(sent, scale * up, 0.0))
+        return lower, upper
+
+    n_z_total = sum(n_zk)
+    no_gain = ops.where(n_z_total > 0.0, False, True)
+    s_z0, s_z1 = _all_bounds_yield_floor(*bounds(n_zk, n_z_total), tau0, tau1, mu_s, mu_d)
+    _, s_x1 = _all_bounds_yield_floor(*bounds(n_xk, sum(n_xk)), tau0, tau1, mu_s, mu_d)
+    infeasible = (probs[0] > 0) & (probs[1] > 0) & (s_z1 < 0)
+    s_z1 = ops.maximum(0.0, s_z1)
+    s_x1 = ops.maximum(0.0, s_x1)
+    _, m_up = bounds(m_xk, sum(n_xk))
+    v_x1 = tau1 * m_up[1] / mu_d
+
+    sampled = (s_x1 > 0.0) & (s_z1 > 0.0)
+    phi = ops.minimum(0.5, v_x1 / s_x1)
+    corrected = sampled & (phi > 0.0) & (phi < 1.0)
+    spread = (s_x1 + s_z1) / (s_x1 * s_z1)
+    variance = phi * (1.0 - phi)
+    log_arg = spread / variance * (21.0 / eps_1) ** 2
+    correction = ops.sqrt(spread * variance / math.log(2.0) * ops.log2(log_arg))
+    phase_error = ops.where(
+        sampled, ops.minimum(0.5, phi + ops.where(corrected, correction, 0.0)), 0.5
+    )
+
+    qber_z = sum(m_zk) / n_z
+    lambda_ec = sec.f_ec * n_z * ops.entropy(qber_z)
+    key_length = ops.maximum(
+        0.0,
+        s_z0
+        + s_z1 * (1.0 - ops.entropy(phase_error))
+        - lambda_ec
+        - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+        - math.log2(2.0 / sec.eps_cor),
+    )
+    report = KeyReport(
+        key_length, key_length / n_s, n_s, n_z - s_z0 - s_z1, s_z0 + s_z1,
+        phase_error, lambda_ec, qber_z,
+    )
+    return report, no_gain, infeasible, corrected & (log_arg < 1.0)
+
+
+def _all_bounds_distil(mu_s, mu_d, p_s, p_d, q_z_tx, eta, channel, proto, sec, concentration):
+    """``_wcp_distil`` on the reference expectation and key length."""
+    mus = (mu_s, mu_d, 0.0)
+    probs = (p_s, p_d, 1.0 - p_s - p_d)
+    n_s, tau0, tau1, *tallies = _all_bounds_expectation(
+        mus, probs, q_z_tx, eta, dark_count_prob(channel), channel.misalignment_prob, proto
+    )
+    return _all_bounds_key_lengths(
+        n_s, *tallies, mus, probs, tau0, tau1, proto.block_size, sec, concentration
+    )
+
+
+def _same_bits(a, b):
+    """``a == b`` down to the bit: NaN matches NaN, and the sign of 0 counts."""
+    a_bits, b_bits = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return type(a) is type(b) and a_bits.shape == b_bits.shape and a_bits.tobytes() == b_bits.tobytes()
+
+
+def _assert_same_distillation(got, expected):
+    (report, *masks), (reference, *reference_masks) = got, expected
+    for name in KeyReport.__dataclass_fields__:
+        assert _same_bits(getattr(report, name), getattr(reference, name)), name
+    for mask, reference_mask in zip(masks, reference_masks, strict=True):
+        assert _same_bits(mask, reference_mask)
+
+
+# A point of the distiller: mu_signal and mu_decoy either way round, a
+# signal probability that may be 0, the decoy share of the rest, 0 (no
+# decoy) or exactly 1 (p_vacuum is then exactly 0), and q_z_tx.
+_distil_point = st.tuples(
+    st.floats(min_value=0.01, max_value=1.2),
+    st.floats(min_value=0.01, max_value=1.2),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.999)),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=1e-3, max_value=0.999)),
+    st.floats(min_value=0.05, max_value=0.99),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    concentration=st.sampled_from(CONCENTRATIONS),
+    loss_db=st.floats(min_value=0.0, max_value=45.0),
+    dark_count_rate=st.sampled_from([0.0, 43.0, 4.3e4]),
+    log_block=st.floats(min_value=4.0, max_value=13.0),
+    points=st.lists(_distil_point, min_size=1, max_size=6),
+)
+@example("hoeffding", 14.6, 43.0, 8.0, [(0.5, 0.15, 0.7, 0.0, 0.9), (0.5, 0.15, 0.7, 1.0, 0.9)])
+@example("chernoff", 14.6, 43.0, 8.0, [(0.5, 0.15, 0.7, 0.0, 0.9), (0.5, 0.15, 0.7, 1.0, 0.9)])
+def test_distiller_reads_the_same_bits_as_the_all_bounds_reference(
+    concentration, loss_db, dark_count_rate, log_block, points
+):
+    # On floats each point runs through ``_float_or_numpy``, so a point
+    # never sent at some intensity reruns on NumPy in both distillers.
+    channel = replace(FIELD_CHANNEL, channel_loss_db=loss_db, dark_count_rate_cps=dark_count_rate)
+    proto = replace(PROTO, block_size=10.0**log_block)
+    eta = link_transmittance(channel)
+    fixed = (channel, proto, FIELD_SEC, concentration)
+    rows = [(mu_s, mu_d, p_s, (1.0 - p_s) * share, q) for mu_s, mu_d, p_s, share, q in points]
+    for row in rows:
+        args = (*row, eta, *fixed)
+        _assert_same_distillation(
+            _float_or_numpy(_wcp_distil, args), _float_or_numpy(_all_bounds_distil, args)
+        )
+    columns = [np.array(column) for column in zip(*rows)]
+    etas = np.full(len(rows), eta)
+    with np.errstate(all="ignore"):
+        _assert_same_distillation(
+            _wcp_distil(*columns, etas, *fixed), _all_bounds_distil(*columns, etas, *fixed)
+        )
