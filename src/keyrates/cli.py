@@ -42,7 +42,7 @@ from .finite_key.comparison import (
     _wcp_rate_or_zero,
     advantage_db,
 )
-from .finite_key.core import _sps_lanes
+from .finite_key.core import _link_yields, _sps_lanes
 from .finite_key.wcp import _p_vacuum, _wcp_lanes
 from .montecarlo import TooManyPulses, TrialSpec, _trial_arrays
 from .optimizer import ELITE_COUNT, GASettings, SearchSpace, optimize
@@ -341,14 +341,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         _require_sps(config, "optimize --target sps")
         space = SearchSpace({"q_z_tx": (0.5, 0.99), "pre_attenuation": (1e-6, 1.0)})
         n_mean, g2 = config.source.mean_photon_number, config.source.g2
+        link = _link_yields(config.channel, config.channel.channel_loss_db)
 
         def objective(params: dict[str, float]) -> float:
-            proto = replace(
-                config.proto,
-                q_z_tx=params["q_z_tx"],
-                pre_attenuation=params["pre_attenuation"],
+            return _sps_rate_or_zero(
+                n_mean, g2, params["q_z_tx"], params["pre_attenuation"],
+                link, config.proto, config.sec,
             )
-            return _sps_rate_or_zero(n_mean, g2, config.channel, proto, config.sec)
 
         def score_population(columns: dict[str, np.ndarray]) -> np.ndarray:
             lanes = _sps_lanes(

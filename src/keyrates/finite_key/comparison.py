@@ -19,15 +19,18 @@ import numpy as np
 
 from ..asymptotic import BoundaryCurve, EmptyCurve
 from ..channel import ChannelDetectorModel
-from ..photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
+from ..photon_source import SourceKind, SourceSpec, _sps_moment_rules, _sps_probs, _sps_valid
 from .core import (
-    InsufficientBlock,
     ProtocolConfig,
     SecurityParams,
     _MATH,
+    _float_or_numpy,
+    _link_yields,
     _ops,
+    _protocol_valid,
+    _sps_expectation,
+    _sps_key_lengths,
     _sps_lanes,
-    sps_expected_rate,
 )
 from .wcp import (
     DecoyInfeasible,
@@ -145,31 +148,54 @@ def _itp_bracket(margin, lo, hi, m_lo, m_hi) -> tuple[float, float]:
     return lo, hi
 
 
-def _sps_rate_or_zero(n_mean, g2, channel, proto, sec) -> float:
-    """Scalar SPS rate, 0 where the pipeline rejects the point."""
-    try:
-        source = SourceSpec(SourceKind.SPS, n_mean, g2)
-        return sps_expected_rate(source, channel, proto, sec).rate_per_pulse
-    except (InsufficientBlock, NonPhysicalSource, UndefinedG2):
+def _sps_rate_or_zero(n_mean, g2, q_z_tx, pre_attenuation, link_yields, proto, sec) -> float:
+    """``sps_expected_rate(...).rate_per_pulse`` at one point, 0 where that raises.
+
+    ``link_yields`` is ``_link_yields`` at the point's loss. Makes the
+    scalar path's checks and kernel calls without building its dataclasses.
+    """
+    protocol_ok = _protocol_valid(q_z_tx, proto.q_z_rx, proto.block_size, pre_attenuation)
+    if not (_sps_valid(n_mean, g2) and protocol_ok):
         return 0.0
+    yields, error_yields = link_yields
+    mean, g2_launched, q, qber, n_s, n_x = _float_or_numpy(
+        _sps_expectation,
+        (_sps_probs(n_mean, g2), pre_attenuation, yields, error_yields, q_z_tx, proto),
+    )
+    # UndefinedG2, zero gain, then the launched source's NonPhysicalSource.
+    if not (mean * mean > 0.0 and q > 0.0 and all(_sps_moment_rules(mean, g2_launched))):
+        return 0.0
+    block = proto.block_size
+    report, insufficient = _float_or_numpy(
+        _sps_key_lengths,
+        (n_s, block, n_x, qber * block, qber * n_x, g2_launched * (mean * mean) / 2.0, q_z_tx, sec),
+    )
+    return 0.0 if insufficient else report.rate_per_pulse
 
 
-def _tune_sps(
-    n_mean,
-    g2,
-    loss_db,
-    channel: ChannelDetectorModel,
-    proto: ProtocolConfig,
-    sec: SecurityParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``optimized_sps_rate`` for broadcast (<n>, g2, loss) lanes at once.
+def _sps_rescore(n_mean, g2, loss_db, q_z_tx, pre_attenuation, channel, proto, sec) -> np.ndarray:
+    """``_sps_rate_or_zero`` of broadcast lanes, deriving each distinct loss's yields once."""
+    lanes = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (n_mean, g2, loss_db, q_z_tx, pre_attenuation))
+    )
+    n_mean, g2, loss_db, q_z_tx, pre_attenuation = (a.ravel().tolist() for a in lanes)
+    links = {loss: _link_yields(channel, loss) for loss in set(loss_db)}
+    rates = [
+        _sps_rate_or_zero(n, g, q, t, links[loss], proto, sec)
+        for n, g, loss, q, t in zip(n_mean, g2, loss_db, q_z_tx, pre_attenuation)
+    ]
+    return np.array(rates).reshape(lanes[0].shape)
+
+
+def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, np.ndarray]:
+    """The tuned ``(q_z_tx, pre_attenuation)`` of broadcast (<n>, g2, loss) lanes.
 
     Every lane searches every ``Q_TX_GRID`` candidate in lockstep: a
     golden-section search of the pre-attenuation on [1e-4, 1] scored by
     ``_sps_lanes``, then the unattenuated point when it scores at least
-    as well, then the first best candidate. Returns the rates, basis
-    ratios and pre-attenuations of the lanes; each rate is re-scored by
-    the scalar ``sps_expected_rate`` at the returned parameters.
+    as well, then the first best candidate. The golden point and the
+    unattenuated one are two rows of one call, so a call of this
+    function makes 33 ``_sps_lanes`` calls.
     """
     n_mean, g2, loss_db = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (n_mean, g2, loss_db))
@@ -179,26 +205,23 @@ def _tune_sps(
         n_mean[..., None], g2[..., None], q_grid, loss_db[..., None], channel, proto, sec
     )
     t = _golden_max(rate_at, 1e-4, 1.0)
-    rate = rate_at(t)
-    unattenuated = rate_at(1.0)
+    rate, unattenuated = rate_at(np.stack([t, np.ones_like(t)]))
     keep_one = unattenuated >= rate
     t = np.where(keep_one, 1.0, t)
-    rate = np.where(keep_one, unattenuated, rate)
+    # The first maximum, as a strict-> scan.
+    best = np.argmax(np.where(keep_one, unattenuated, rate), axis=-1)
+    return q_grid[best], np.take_along_axis(t, best[..., None], -1)[..., 0]
 
-    best = np.argmax(rate, axis=-1)  # the first maximum, as a strict-> scan
-    q_best = q_grid[best]
-    t_best = np.take_along_axis(t, best[..., None], -1)[..., 0]
-    rates = np.array(
-        [
-            _sps_rate_or_zero(
-                n, g, replace(channel, channel_loss_db=loss),
-                replace(proto, q_z_tx=q, pre_attenuation=tb), sec,
-            )
-            for n, g, loss, q, tb in zip(
-                *(a.ravel().tolist() for a in (n_mean, g2, loss_db, q_best, t_best))
-            )
-        ]
-    ).reshape(n_mean.shape)
+
+def _tune_sps(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, ...]:
+    """``optimized_sps_rate`` for broadcast (<n>, g2, loss) lanes at once.
+
+    ``_sps_argmax`` tunes every lane, and ``_sps_rescore`` scores each
+    lane's winner on floats. Returns the rates, basis ratios and
+    pre-attenuations of the lanes.
+    """
+    q_best, t_best = _sps_argmax(n_mean, g2, loss_db, channel, proto, sec)
+    rates = _sps_rescore(n_mean, g2, loss_db, q_best, t_best, channel, proto, sec)
     return rates, q_best, t_best
 
 
@@ -438,19 +461,31 @@ def finite_boundary(
     For each grid mean photon number the largest g2 at which the tuned
     SPS still matches the tuned WCP comparator is found by bisection;
     the exact minimum viable mean (at g2 = 0) is prepended as the first
-    curve point. All bisections run as lanes of one lane-tuner call per
-    two steps, which scores each lane's midpoint and both quarter
-    points. Both pipelines run at the configured block size; the ideal
-    closed-form boundary is ``keyrates.asymptotic.advantage_boundary``.
+    curve point. All bisections run as lanes of one ``_sps_argmax`` call
+    per three levels, which tunes each lane's seven probes; the floats
+    re-score only the three on the lane's path. Both pipelines run at the
+    configured block size; the ideal closed-form boundary is
+    ``keyrates.asymptotic.advantage_boundary``.
     """
     ch = replace(channel, channel_loss_db=loss_db)
     r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec)
 
-    def sps_rates(n_mean, g2) -> np.ndarray:
-        return _tune_sps(n_mean, g2, loss_db, channel, proto, sec)[0]
+    def sps_rates(n_mean, g2, q, t) -> np.ndarray:
+        return _sps_rescore(n_mean, g2, loss_db, q, t, channel, proto, sec)
 
-    n_grid = np.array(sorted(grid), dtype=float)
-    n_grid = n_grid[sps_rates(n_grid, 0.0) >= r_wcp]
+    # One screening call tunes the rows (<n>, 0), (<n>, 1/<n>) and
+    # (1e-4, 0); the second row is re-scored only where the first holds.
+    n_all = np.array(sorted(grid), dtype=float)
+    size = n_all.size
+    with np.errstate(all="ignore"):  # 1/<n> of a grid point dropped below must not warn
+        g2_all = 1.0 / n_all
+    q, t = _sps_argmax(
+        np.concatenate([n_all, n_all, [1e-4]]),
+        np.concatenate([np.zeros(size), g2_all, [0.0]]),
+        loss_db, channel, proto, sec,
+    )
+    advantaged = sps_rates(n_all, 0.0, q[:size], t[:size]) >= r_wcp
+    n_grid = n_all[advantaged]
     if n_grid.size == 0:
         raise EmptyCurve(f"no grid point admits an SPS advantage at {loss_db} dB")
     # One lockstep bisection: a lane per grid point bisects g2 on
@@ -464,21 +499,30 @@ def finite_boundary(
     lo = np.append(np.zeros(n_grid.size), n_grid[0])
     hi = np.append(g2_max, 1e-4)
     edge = hi.copy()
-    bisected = sps_rates(n_lane, g2_lane) < r_wcp
+    lane_rows = np.append(np.flatnonzero(advantaged) + size, 2 * size)
+    bisected = sps_rates(n_lane, g2_lane, q[lane_rows], t[lane_rows]) < r_wcp
     endpoint = (np.arange(n_lane.size) == n_grid.size)[bisected]
     n_lane, lo, hi = n_lane[bisected], lo[bisected], hi[bisected]
-    # Each tuner call scores the midpoint and both quarter points, so it
-    # takes two bisection steps: the kept side's quarter point is the next
-    # step's midpoint, the same float. In heap order the probe after probe
-    # i is 2i + 1 where i fails and 2i + 2 where it holds.
-    for step in range(0, BOUNDARY_BISECTION_ITERATIONS, 2):
-        mid = 0.5 * (lo + hi)
-        probe = np.stack([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)])
-        holds = sps_rates(np.where(endpoint, probe, n_lane), np.where(endpoint, 0.0, probe)) >= r_wcp
-        node = 0
-        for _ in range(min(2, BOUNDARY_BISECTION_ITERATIONS - step)):
-            x, kept = np.choose(node, probe), np.choose(node, holds)
-            lo, hi = np.where(kept, x, lo), np.where(kept, hi, x)
+    lane = np.arange(n_lane.size)
+    # Each call tunes the probes of up to three levels in heap order: the
+    # probe after probe i is 2i + 1 where i fails and 2i + 2 where it
+    # holds, and each is the float the one-step loop would score there.
+    for step in range(0, BOUNDARY_BISECTION_ITERATIONS, 3):
+        levels = min(3, BOUNDARY_BISECTION_ITERATIONS - step)
+        ends, probes = [(lo, hi)], []
+        for i in range(2**levels - 1):
+            a, b = ends[i]
+            mid = 0.5 * (a + b)
+            ends += [(a, mid), (mid, b)]
+            probes.append(mid)
+        probe = np.stack(probes)
+        n_probe, g2_probe = np.where(endpoint, probe, n_lane), np.where(endpoint, 0.0, probe)
+        q, t = _sps_argmax(n_probe, g2_probe, loss_db, channel, proto, sec)
+        node = np.zeros(lane.size, dtype=int)
+        for _ in range(levels):
+            at = (node, lane)
+            kept = sps_rates(n_probe[at], g2_probe[at], q[at], t[at]) >= r_wcp
+            lo, hi = np.where(kept, probe[at], lo), np.where(kept, hi, probe[at])
             node = 2 * node + 1 + kept
     edge[bisected] = lo
     points = list(zip(n_grid.tolist(), edge[:-1].tolist()))

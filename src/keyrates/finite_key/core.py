@@ -390,6 +390,11 @@ def _sps_expectation(probs, t, yields, error_yields, q_z_tx, proto: ProtocolConf
     return mean, g2, q, qber, n_s, n_x
 
 
+def _link_yields(channel: ChannelDetectorModel, loss_db: float) -> tuple[list, list]:
+    """``photon_yields`` of zero to two photons on ``channel`` at the loss ``loss_db``."""
+    return photon_yields(link_transmittance(replace(channel, channel_loss_db=loss_db)), channel, 2)
+
+
 def _sps_point(source: SourceSpec, channel: ChannelDetectorModel, proto: ProtocolConfig):
     """``_sps_expectation`` of one SPS configuration, rejecting degenerate ones.
 
@@ -486,11 +491,7 @@ def _sps_lanes(
 
     # Detector yields per distinct loss, from the scalar formulas.
     losses, index = np.unique(loss_db.ravel(), return_inverse=True)
-    per_loss = []
-    for loss in losses.tolist():
-        eta = link_transmittance(replace(channel, channel_loss_db=loss))
-        yields, error_yields = photon_yields(eta, channel, 2)
-        per_loss.append(yields + error_yields)
+    per_loss = [y + e for y, e in (_link_yields(channel, loss) for loss in losses.tolist())]
     y0, y1, y2, e0, e1, e2 = (
         column[index].reshape(loss_db.shape)
         for column in np.array(per_loss).reshape(-1, 6).T

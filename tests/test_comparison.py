@@ -40,7 +40,9 @@ from keyrates.finite_key.comparison import (
     advantage_db,
 )
 from keyrates.finite_key import comparison
-from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec, _sps_valid
+from keyrates.photon_source import (
+    NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2, _sps_valid,
+)
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
 FIELD_SEC = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16)
@@ -298,20 +300,55 @@ _BOUNDARY_LANE = st.tuples(
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda k: st.lists(_BOUNDARY_LANE, min_size=3 * k, max_size=3 * k)
-    ),
-)
-def test_stacked_sps_lanes_match_each_row_alone(lanes):
-    # finite_boundary scores its three probes per lane as rows of one call.
-    n_mean, share, loss = np.array(lanes).T.reshape(3, 3, -1)
+@given(st.sampled_from([3, 7]), st.integers(min_value=1, max_value=4), st.data())
+def test_stacked_sps_lanes_match_each_row_alone(rows, width, data):
+    # finite_boundary tunes the seven probes of three bisection levels per
+    # lane as rows of one call, and its screening call stacks three rows.
+    lanes = data.draw(st.lists(_BOUNDARY_LANE, min_size=rows * width, max_size=rows * width))
+    n_mean, share, loss = np.array(lanes).T.reshape(3, rows, -1)
     g2 = share / n_mean
     stacked = _tune_sps(n_mean, g2, loss, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
-    for row in range(3):
+    for row in range(rows):
         alone = _tune_sps(n_mean[row], g2[row], loss[row], FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert [a[row].tolist() for a in stacked] == [a.tolist() for a in alone]
     assert np.all(stacked[0][np.logical_not(_sps_valid(n_mean, g2))] == 0.0)
+
+
+def _dataclass_sps_rate(n_mean, g2, channel, proto, sec):
+    """The tuner's float re-score as it ran through ``sps_expected_rate``."""
+    try:
+        source = SourceSpec(SourceKind.SPS, n_mean, g2)
+        return sps_expected_rate(source, channel, proto, sec).rate_per_pulse
+    except (InsufficientBlock, NonPhysicalSource, UndefinedG2):
+        return 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_BOUNDARY_LANE, st.sampled_from(Q_TX_GRID), st.floats(1e-4, 1.0)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+# Zeros: a rejected source, a swallowed block at 40 dB, and g2 = 1/<n>,
+# where the launched g2 <n> rounds above 1.
+@example([((1.2, 1.5, 0.0), 0.99, 1.0), ((0.3, 0.5, 40.0), 0.9, 1.0)])
+@example([((0.5837843979428032, 1.0, 0.0), 0.9, 1.0), ((0.5837843979428032, 1.0, 5.0), 0.5, 0.3)])
+def test_float_rescore_matches_the_dataclass_pipeline(points):
+    # Bit for bit, zeros included, with the link yields shared per loss.
+    lanes, q_tx, t = zip(*points)
+    n_mean, share, loss = np.array(lanes).T
+    g2 = share / n_mean
+    rates = comparison._sps_rescore(n_mean, g2, loss, q_tx, t, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+    expected = [
+        _dataclass_sps_rate(
+            n, g, replace(FIELD_CHANNEL, channel_loss_db=lo),
+            replace(FIELD_PROTO, q_z_tx=q, pre_attenuation=tb), FIELD_SEC,
+        )
+        for n, g, lo, q, tb in zip(n_mean.tolist(), g2.tolist(), loss.tolist(), q_tx, t)
+    ]
+    assert rates.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 def _scalar_sps_rate(source, channel, proto, sec):
@@ -597,25 +634,34 @@ class TestFiniteBoundary:
         curve = finite_boundary(loss_db, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert curve.points == _one_step_per_call_boundary(loss_db, grid)
 
-    @pytest.mark.parametrize("iterations", [1, 7])
+    @pytest.mark.parametrize("iterations", [1, 2, 7, 8])  # every remainder mod 3
     def test_odd_iteration_count_matches_the_one_step_loop(self, monkeypatch, iterations):
         monkeypatch.setattr(comparison, "BOUNDARY_BISECTION_ITERATIONS", iterations)
         grid = _geometric_grid(25)
         curve = finite_boundary(5.0, grid, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert curve.points == _one_step_per_call_boundary(5.0, grid)
 
-    def test_cli_boundary_makes_22_tuner_calls(self, monkeypatch, capsys):
-        # Two screening calls, then one per two of the 40 bisection steps.
-        calls = []
-        tune_sps = comparison._tune_sps
+    def test_cli_boundary_work_counts(self, monkeypatch, capsys):
+        # One screening call, then one per three of the 40 bisection levels
+        # (the last takes one); each makes 33 kernel calls. The floats
+        # re-score the grid, the advantaged (<n>, 1/<n>) rows, the g2 = 0
+        # endpoint and one probe per level of each bisected lane.
+        counts = dict.fromkeys(("tuner", "kernel", "rescore"), 0)
 
-        def counted(*args):
-            calls.append(args)
-            return tune_sps(*args)
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(comparison, "_tune_sps", counted)
+            return wrapper
+
+        lanes = comparison._sps_lanes
+        monkeypatch.setattr(comparison, "_sps_argmax", counted("tuner", comparison._sps_argmax))
+        monkeypatch.setattr(comparison, "_sps_lanes", lambda *args: counted("kernel", lanes(*args)))
+        rescore = counted("rescore", comparison._sps_rate_or_zero)
+        monkeypatch.setattr(comparison, "_sps_rate_or_zero", rescore)
         assert run(["boundary", bundled_field_config(), "--mode", "finite", "--loss", "0"]) == 0
-        assert len(calls) == 22
+        assert counts == {"tuner": 15, "kernel": 495, "rescore": 804}
 
     def test_no_bisection_where_neither_side_makes_key(self):
         # At 80 dB both rates are 0, so every grid point matches at its
