@@ -187,15 +187,15 @@ def _sps_rescore(n_mean, g2, loss_db, q_z_tx, pre_attenuation, channel, proto, s
     return np.array(rates).reshape(lanes[0].shape)
 
 
-def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, np.ndarray]:
-    """The tuned ``(q_z_tx, pre_attenuation)`` of broadcast (<n>, g2, loss) lanes.
+def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, ...]:
+    """The tuned ``(q_z_tx, pre_attenuation, rate)`` of broadcast (<n>, g2, loss) lanes.
 
     Every lane searches every ``Q_TX_GRID`` candidate in lockstep: a
     golden-section search of the pre-attenuation on [1e-4, 1] scored by
     ``_sps_lanes``, then the unattenuated point when it scores at least
-    as well, then the first best candidate. The golden point and the
-    unattenuated one are two rows of one call, so a call of this
-    function makes 33 ``_sps_lanes`` calls.
+    as well, then the first best candidate, whose lane score is ``rate``.
+    The golden point and the unattenuated one are two rows of one call,
+    so a call of this function makes 33 ``_sps_lanes`` calls.
     """
     n_mean, g2, loss_db = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (n_mean, g2, loss_db))
@@ -207,10 +207,11 @@ def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, n
     t = _golden_max(rate_at, 1e-4, 1.0)
     rate, unattenuated = rate_at(np.stack([t, np.ones_like(t)]))
     keep_one = unattenuated >= rate
-    t = np.where(keep_one, 1.0, t)
+    t, rate = np.where(keep_one, 1.0, t), np.where(keep_one, unattenuated, rate)
     # The first maximum, as a strict-> scan.
-    best = np.argmax(np.where(keep_one, unattenuated, rate), axis=-1)
-    return q_grid[best], np.take_along_axis(t, best[..., None], -1)[..., 0]
+    best = np.argmax(rate, axis=-1)[..., None]
+    t, rate = (np.take_along_axis(a, best, -1)[..., 0] for a in (t, rate))
+    return q_grid[best[..., 0]], t, rate
 
 
 def _tune_sps(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, ...]:
@@ -220,7 +221,7 @@ def _tune_sps(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, ...
     lane's winner on floats. Returns the rates, basis ratios and
     pre-attenuations of the lanes.
     """
-    q_best, t_best = _sps_argmax(n_mean, g2, loss_db, channel, proto, sec)
+    q_best, t_best, _ = _sps_argmax(n_mean, g2, loss_db, channel, proto, sec)
     rates = _sps_rescore(n_mean, g2, loss_db, q_best, t_best, channel, proto, sec)
     return rates, q_best, t_best
 
@@ -462,29 +463,25 @@ def finite_boundary(
     SPS still matches the tuned WCP comparator is found by bisection;
     the exact minimum viable mean (at g2 = 0) is prepended as the first
     curve point. All bisections run as lanes of one ``_sps_argmax`` call
-    per three levels, which tunes each lane's seven probes; the floats
-    re-score only the three on the lane's path. Both pipelines run at the
-    configured block size; the ideal closed-form boundary is
-    ``keyrates.asymptotic.advantage_boundary``.
+    per three levels, which tunes each lane's seven probes and decides on
+    their lane rates; no call is made once no lane is bisected. Both
+    pipelines run at the configured block size; the ideal closed-form
+    boundary is ``keyrates.asymptotic.advantage_boundary``.
     """
     ch = replace(channel, channel_loss_db=loss_db)
     r_wcp, _, _ = optimized_wcp_rate(ch, proto, sec)
 
-    def sps_rates(n_mean, g2, q, t) -> np.ndarray:
-        return _sps_rescore(n_mean, g2, loss_db, q, t, channel, proto, sec)
-
-    # One screening call tunes the rows (<n>, 0), (<n>, 1/<n>) and
-    # (1e-4, 0); the second row is re-scored only where the first holds.
+    # One screening call tunes the rows (<n>, 0), (<n>, 1/<n>) and (1e-4, 0).
     n_all = np.array(sorted(grid), dtype=float)
     size = n_all.size
     with np.errstate(all="ignore"):  # 1/<n> of a grid point dropped below must not warn
         g2_all = 1.0 / n_all
-    q, t = _sps_argmax(
+    _, _, rate = _sps_argmax(
         np.concatenate([n_all, n_all, [1e-4]]),
         np.concatenate([np.zeros(size), g2_all, [0.0]]),
         loss_db, channel, proto, sec,
     )
-    advantaged = sps_rates(n_all, 0.0, q[:size], t[:size]) >= r_wcp
+    advantaged = rate[:size] >= r_wcp
     n_grid = n_all[advantaged]
     if n_grid.size == 0:
         raise EmptyCurve(f"no grid point admits an SPS advantage at {loss_db} dB")
@@ -495,12 +492,11 @@ def finite_boundary(
     # already are not bisected.
     g2_max = 1.0 / n_grid
     n_lane = np.append(n_grid, 1e-4)
-    g2_lane = np.append(g2_max, 0.0)
     lo = np.append(np.zeros(n_grid.size), n_grid[0])
     hi = np.append(g2_max, 1e-4)
     edge = hi.copy()
     lane_rows = np.append(np.flatnonzero(advantaged) + size, 2 * size)
-    bisected = sps_rates(n_lane, g2_lane, q[lane_rows], t[lane_rows]) < r_wcp
+    bisected = rate[lane_rows] < r_wcp
     endpoint = (np.arange(n_lane.size) == n_grid.size)[bisected]
     n_lane, lo, hi = n_lane[bisected], lo[bisected], hi[bisected]
     lane = np.arange(n_lane.size)
@@ -508,6 +504,8 @@ def finite_boundary(
     # probe after probe i is 2i + 1 where i fails and 2i + 2 where it
     # holds, and each is the float the one-step loop would score there.
     for step in range(0, BOUNDARY_BISECTION_ITERATIONS, 3):
+        if lane.size == 0:
+            break
         levels = min(3, BOUNDARY_BISECTION_ITERATIONS - step)
         ends, probes = [(lo, hi)], []
         for i in range(2**levels - 1):
@@ -517,12 +515,11 @@ def finite_boundary(
             probes.append(mid)
         probe = np.stack(probes)
         n_probe, g2_probe = np.where(endpoint, probe, n_lane), np.where(endpoint, 0.0, probe)
-        q, t = _sps_argmax(n_probe, g2_probe, loss_db, channel, proto, sec)
+        holds = _sps_argmax(n_probe, g2_probe, loss_db, channel, proto, sec)[2] >= r_wcp
         node = np.zeros(lane.size, dtype=int)
         for _ in range(levels):
-            at = (node, lane)
-            kept = sps_rates(n_probe[at], g2_probe[at], q[at], t[at]) >= r_wcp
-            lo, hi = np.where(kept, probe[at], lo), np.where(kept, hi, probe[at])
+            kept, mid = holds[node, lane], probe[node, lane]
+            lo, hi = np.where(kept, mid, lo), np.where(kept, hi, mid)
             node = 2 * node + 1 + kept
     edge[bisected] = lo
     points = list(zip(n_grid.tolist(), edge[:-1].tolist()))

@@ -166,6 +166,27 @@ def _scored_wcp_points():
         yield points
 
 
+def _counted_sps_work(monkeypatch):
+    """Count the SPS tuner's work from here on: ``_sps_argmax`` calls
+    ("tuner"), ``_sps_lanes`` scorer calls ("kernel") and float re-scores
+    ("rescore"). Returns the live counts."""
+    counts = dict.fromkeys(("tuner", "kernel", "rescore"), 0)
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    lanes = comparison._sps_lanes
+    monkeypatch.setattr(comparison, "_sps_argmax", counted("tuner", comparison._sps_argmax))
+    monkeypatch.setattr(comparison, "_sps_lanes", lambda *args: counted("kernel", lanes(*args)))
+    rescore = counted("rescore", comparison._sps_rate_or_zero)
+    monkeypatch.setattr(comparison, "_sps_rate_or_zero", rescore)
+    return counts
+
+
 def _assert_valid_wcp_points(points):
     """Every point, float or lanes, has 0 < mu_d < mu_s, 0 < p_s < 1 and 0 < p_d < 1 - p_s."""
     assert points
@@ -608,6 +629,17 @@ class TestSweep:
         assert all(a > b for a, b in zip(sps_rates, sps_rates[1:]))
         assert all(a > b for a, b in zip(wcp_rates, wcp_rates[1:]))
 
+    def test_cli_sweep_work_counts(self, monkeypatch, capsys):
+        # The SPS side tunes all 31 losses in one arg-max call; the WCP side
+        # scores its seed grid once per loss, then refines every loss in
+        # one lockstep of 176 lane calls. Each winner is scored once on floats.
+        counts = _counted_sps_work(monkeypatch)
+        losses = ["--loss-min", "0", "--loss-max", "30", "--steps", "31"]
+        with _scored_wcp_points() as points:
+            assert run(["sweep", bundled_field_config(), *losses]) == 0
+        assert counts == {"tuner": 1, "kernel": 33, "rescore": 31}
+        assert (len(points["lanes"]), len(points["float"])) == (207, 31)
+
 
 class TestFiniteBoundary:
     def test_zero_loss_endpoints(self):
@@ -627,7 +659,8 @@ class TestFiniteBoundary:
 
     # Every loss meets both grids.
     @pytest.mark.parametrize(
-        "loss_db, points", [(0.0, 25), (0.0, 60), (5.0, 60), (5.0, 25), (14.6, 25), (14.6, 60)]
+        "loss_db, points",
+        [(0.0, 25), (0.0, 60), (5.0, 60), (5.0, 25), (14.6, 25), (14.6, 60), (80.0, 25)],
     )
     def test_two_steps_per_call_match_the_one_step_loop(self, loss_db, points):
         grid = _geometric_grid(points)
@@ -643,25 +676,17 @@ class TestFiniteBoundary:
 
     def test_cli_boundary_work_counts(self, monkeypatch, capsys):
         # One screening call, then one per three of the 40 bisection levels
-        # (the last takes one); each makes 33 kernel calls. The floats
-        # re-score the grid, the advantaged (<n>, 1/<n>) rows, the g2 = 0
-        # endpoint and one probe per level of each bisected lane.
-        counts = dict.fromkeys(("tuner", "kernel", "rescore"), 0)
-
-        def counted(key, fn):
-            def wrapper(*args):
-                counts[key] += 1
-                return fn(*args)
-
-            return wrapper
-
-        lanes = comparison._sps_lanes
-        monkeypatch.setattr(comparison, "_sps_argmax", counted("tuner", comparison._sps_argmax))
-        monkeypatch.setattr(comparison, "_sps_lanes", lambda *args: counted("kernel", lanes(*args)))
-        rescore = counted("rescore", comparison._sps_rate_or_zero)
-        monkeypatch.setattr(comparison, "_sps_rate_or_zero", rescore)
+        # (the last takes one); each makes 33 kernel calls. Every decision
+        # reads the arg-max's lane rate, so nothing is re-scored on floats.
+        counts = _counted_sps_work(monkeypatch)
         assert run(["boundary", bundled_field_config(), "--mode", "finite", "--loss", "0"]) == 0
-        assert counts == {"tuner": 15, "kernel": 495, "rescore": 804}
+        assert counts == {"tuner": 15, "kernel": 495, "rescore": 0}
+
+    def test_cli_boundary_stops_once_no_lane_is_bisected(self, monkeypatch, capsys):
+        # At 80 dB every lane matches at its top: the screening call is the only one.
+        counts = _counted_sps_work(monkeypatch)
+        assert run(["boundary", bundled_field_config(), "--mode", "finite", "--loss", "80"]) == 0
+        assert counts == {"tuner": 1, "kernel": 33, "rescore": 0}
 
     def test_no_bisection_where_neither_side_makes_key(self):
         # At 80 dB both rates are 0, so every grid point matches at its

@@ -14,7 +14,10 @@ numbers must match exactly.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ import pytest
 from keyrates.cli import bundled_field_config, run
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 WCP_INTENSITIES = "mu_signal = 0.5\nmu_decoy = 0.15\np_signal = 0.7\np_decoy = 0.2\n"
 
@@ -72,6 +76,10 @@ def wcp_config(tmp_path) -> str:
             ["optimize", "{field}", "--target", "wcp", "--seed", "0", "--generations", "30"],
             "field_optimize_wcp_0_g30.txt",
         ),
+        (
+            ["boundary", "{field}", "--mode", "finite", "--loss", "14.6"],
+            "field_boundary_finite_14.6.csv",
+        ),
     ],
 )
 def test_output_matches_pinned_text(tmp_path, capsys, argv, expected):
@@ -93,3 +101,37 @@ def test_simulate_matches_pinned_text(capsys):
     out, err = capsys.readouterr()
     assert_agrees(out, (DATA / "field_simulate_300_42.csv").read_text())
     assert_agrees(err, "# mean_rate = 1.167599022e-03\n# failures = 0\n")
+
+
+# NumPy dispatches exp, expm1, log and log2 to AVX-512 loops where the CPU
+# has them, and those round differently from the AVX2 and baseline loops.
+# A child with that dispatch switched off must print the same texts. It
+# fails first if the variable left any of the switched-off targets on.
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+NO_AVX512_CHILD = (
+    "import os, sys\n"
+    "import numpy as np\n"
+    "features = (getattr(np, '_core', None) or np.core)._multiarray_umath.__cpu_features__\n"
+    "left_on = [f for f in os.environ['NPY_DISABLE_CPU_FEATURES'].split() if features.get(f)]\n"
+    "assert not left_on, left_on\n"
+    "from keyrates.cli import run\n"
+    "sys.exit(run(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["boundary", "{field}", "--mode", "finite", "--loss", "0"], "field_boundary_finite_0.csv"),
+        (["compare", "{field}"], "field_compare.txt"),
+    ],
+)
+def test_output_matches_pinned_text_without_avx512_dispatch(argv, expected):
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    args = [arg.format(field=bundled_field_config()) for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-c", NO_AVX512_CHILD, *args], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert_agrees(result.stdout, (DATA / expected).read_text())
