@@ -23,27 +23,31 @@ import numpy as np
 
 from .asymptotic import EmptyCurve, advantage_boundary
 from .channel import ChannelDetectorModel, RateTooHigh
-from .finite_key import (
-    DecoyInfeasible,
-    InsufficientBlock,
-    NoCrossover,
-    ProtocolConfig,
-    SecurityParams,
-    WcpIntensities,
-    compare,
-    finite_boundary,
-    sps_expected_rate,
-    sweep_rates,
-    wcp_finite_key_rate,
-)
 from .finite_key.comparison import (
     WCP_RECEIVER_Z_RATIO,
+    NoCrossover,
     _sps_rate_or_zero,
     _wcp_rate_or_zero,
     advantage_db,
+    compare,
+    finite_boundary,
+    sweep_rates,
 )
-from .finite_key.core import _link_yields, _sps_lanes
-from .finite_key.wcp import _p_vacuum, _wcp_lanes
+from .finite_key.core import (
+    InsufficientBlock,
+    ProtocolConfig,
+    SecurityParams,
+    _link_yields,
+    _sps_lanes,
+    sps_expected_rate,
+)
+from .finite_key.wcp import (
+    DecoyInfeasible,
+    WcpIntensities,
+    _p_vacuum,
+    _wcp_lanes,
+    wcp_finite_key_rate,
+)
 from .montecarlo import TooManyPulses, TrialSpec, _trial_arrays
 from .optimizer import ELITE_COUNT, GASettings, SearchSpace, optimize
 from .photon_source import NORMALIZATION_TOL, NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2

@@ -1,55 +1,7 @@
-"""Finite-key secure key lengths for SPS and decoy-state WCP protocols."""
+"""Finite-key secure key lengths: ``core`` (SPS), ``wcp`` (decoy-state WCP)
+and ``comparison`` (tuners, sweeps, boundary). Import each name from the
+submodule that defines it. The two tuners stay bound here only because the
+benchmark harness, ``perfbench/checks.py``, imports them from this package.
+"""
 
-from .core import (
-    DomainError,
-    InsufficientBlock,
-    KeyReport,
-    ProtocolConfig,
-    SecurityParams,
-    TallySet,
-    binary_entropy,
-    chernoff_bound,
-    expected_tallies,
-    sps_expected_rate,
-    sps_key_length,
-)
-from .wcp import (
-    DecoyInfeasible,
-    WcpIntensities,
-    wcp_asymptotic_practical_rate,
-    wcp_finite_key_rate,
-)
-from .comparison import (
-    CompareReport,
-    NoCrossover,
-    compare,
-    finite_boundary,
-    optimized_sps_rate,
-    optimized_wcp_rate,
-    sweep_rates,
-)
-
-__all__ = [
-    "DomainError",
-    "InsufficientBlock",
-    "KeyReport",
-    "ProtocolConfig",
-    "SecurityParams",
-    "TallySet",
-    "binary_entropy",
-    "chernoff_bound",
-    "expected_tallies",
-    "sps_expected_rate",
-    "sps_key_length",
-    "DecoyInfeasible",
-    "WcpIntensities",
-    "wcp_asymptotic_practical_rate",
-    "wcp_finite_key_rate",
-    "CompareReport",
-    "NoCrossover",
-    "compare",
-    "finite_boundary",
-    "optimized_sps_rate",
-    "optimized_wcp_rate",
-    "sweep_rates",
-]
+from .comparison import optimized_sps_rate, optimized_wcp_rate

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelDetectorModel
-from .finite_key import (
+from .finite_key.core import (
     ProtocolConfig,
     SecurityParams,
     TallySet,
+    _sps_key_lengths,
+    _sps_point,
     sps_expected_rate,
 )
-from .finite_key.core import _sps_key_lengths, _sps_point
 from .photon_source import SourceSpec
 
 

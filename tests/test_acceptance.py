@@ -19,15 +19,13 @@ from keyrates.asymptotic import (
 )
 from keyrates.channel import ChannelDetectorModel, dark_count_prob
 from keyrates.cli import bundled_field_config, load_config
-from keyrates.finite_key import (
+from keyrates.finite_key.comparison import advantage_db, compare, finite_boundary
+from keyrates.finite_key.core import (
     ProtocolConfig,
     SecurityParams,
     chernoff_bound,
-    compare,
-    finite_boundary,
     sps_expected_rate,
 )
-from keyrates.finite_key.comparison import advantage_db
 from keyrates.montecarlo import TrialSpec, analytic_reference, simulate_rate_distribution
 from keyrates.optimizer import GASettings, SearchSpace, optimize
 from keyrates.photon_source import (

@@ -353,6 +353,32 @@ def test_source_with_negative_p0_is_config_error(tmp_path, capsys, command):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv", [["rate"], ["simulate", "--reps", "300", "--seed", "42"]], ids=["rate", "simulate"]
+)
+def test_cli_sps_point_work_counts(monkeypatch, capsys, argv):
+    # One expectation and one array key-length call, whatever the trial count.
+    from keyrates import montecarlo
+    from keyrates.finite_key import core
+
+    counts = {"expectation": 0, "key_lengths": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    key_lengths = counted("key_lengths", core._sps_key_lengths)
+    monkeypatch.setattr(core, "_sps_expectation", counted("expectation", core._sps_expectation))
+    monkeypatch.setattr(core, "_sps_key_lengths", key_lengths)
+    monkeypatch.setattr(montecarlo, "_sps_key_lengths", key_lengths)
+    assert run([argv[0], bundled_field_config(), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert counts == {"expectation": 1, "key_lengths": 1}
+
+
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, field_cfg, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -587,7 +613,7 @@ class TestOptimizeCommand:
         assert total == pytest.approx(1.0, abs=1e-9)
         # Two independent optimisers, one stochastic and one a scan,
         # should agree on the achievable rate to within a few percent.
-        from keyrates.finite_key import optimized_wcp_rate
+        from keyrates.finite_key.comparison import optimized_wcp_rate
 
         config = load_config(field_cfg)
         scan_rate, _, _ = optimized_wcp_rate(config.channel, config.proto, config.sec)
@@ -622,6 +648,39 @@ class TestOptimizeCommand:
             outputs.append(capsys.readouterr().out)
         assert scorers and scorers[0] is not None
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "target, work",
+        [
+            ("sps", {"scorer": 64, "rows": 3074, "polish": 172}),
+            ("wcp", {"scorer": 201, "rows": 9650, "polish": 516}),
+        ],
+    )
+    def test_cli_optimize_work_counts(self, monkeypatch, capsys, target, work):
+        # The GA scores its populations through the lane scorer ("scorer"
+        # calls, "rows" in all); the polish scores single points on floats.
+        import keyrates.cli as cli
+        from keyrates import optimizer
+
+        counts = dict.fromkeys(work, 0)
+
+        def counted(objective, space, settings, *, score_population):
+            def point(params):
+                counts["polish"] += 1
+                return objective(params)
+
+            def population(columns):
+                counts["scorer"] += 1
+                counts["rows"] += len(columns["q_z_tx"])
+                return score_population(columns)
+
+            return optimizer.optimize(point, space, settings, score_population=population)
+
+        monkeypatch.setattr(cli, "optimize", counted)
+        argv = ["optimize", bundled_field_config(), "--target", target, "--seed", "7"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert counts == work
 
 
 class TestCompareCommand:

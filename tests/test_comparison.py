@@ -11,21 +11,6 @@ from hypothesis import strategies as st
 from keyrates.asymptotic import EmptyCurve
 from keyrates.channel import ChannelDetectorModel
 from keyrates.cli import bundled_field_config, run
-from keyrates.finite_key import (
-    InsufficientBlock,
-    NoCrossover,
-    ProtocolConfig,
-    SecurityParams,
-    WcpIntensities,
-    compare,
-    finite_boundary,
-    optimized_sps_rate,
-    optimized_wcp_rate,
-    sps_expected_rate,
-    sweep_rates,
-    wcp_asymptotic_practical_rate,
-    wcp_finite_key_rate,
-)
 from keyrates.finite_key.comparison import (
     CROSSOVER_SCAN_MAX_DB,
     Q_TX_GRID,
@@ -34,12 +19,29 @@ from keyrates.finite_key.comparison import (
     WCP_P_DECOY_SHARE_GRID,
     WCP_P_SIGNAL_GRID,
     WCP_RECEIVER_Z_RATIO,
+    NoCrossover,
     _golden_max,
     _tune_sps,
     _tune_wcp,
     advantage_db,
+    compare,
+    finite_boundary,
+    optimized_sps_rate,
+    optimized_wcp_rate,
+    sweep_rates,
 )
 from keyrates.finite_key import comparison
+from keyrates.finite_key.core import (
+    InsufficientBlock,
+    ProtocolConfig,
+    SecurityParams,
+    sps_expected_rate,
+)
+from keyrates.finite_key.wcp import (
+    WcpIntensities,
+    wcp_asymptotic_practical_rate,
+    wcp_finite_key_rate,
+)
 from keyrates.photon_source import (
     NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2, _sps_valid,
 )

@@ -9,20 +9,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyrates.channel import ChannelDetectorModel, link_transmittance
-from keyrates.finite_key import (
+from keyrates.finite_key.comparison import Q_TX_GRID
+from keyrates.finite_key.core import (
+    SPS_CHERNOFF_USES,
     DomainError,
     InsufficientBlock,
     ProtocolConfig,
     SecurityParams,
     TallySet,
+    _sps_key_lengths,
+    _sps_lanes,
     binary_entropy,
     chernoff_bound,
     expected_tallies,
     sps_expected_rate,
     sps_key_length,
 )
-from keyrates.finite_key.comparison import Q_TX_GRID
-from keyrates.finite_key.core import SPS_CHERNOFF_USES, _sps_key_lengths, _sps_lanes
 from keyrates.finite_key.wcp import WCP_CONCENTRATION_USES
 from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 

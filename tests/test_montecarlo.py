@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyrates.channel import ChannelDetectorModel, detection_stats, link_transmittance
-from keyrates.finite_key import (
+from keyrates.finite_key.core import (
     InsufficientBlock,
     ProtocolConfig,
     SecurityParams,

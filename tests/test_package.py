@@ -1,6 +1,8 @@
 """Package layout: what importing keyrates loads, and the names the benchmark traces."""
 
+import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +37,20 @@ def test_every_traced_benchmark_target_is_a_function(monkeypatch):
     for module, func, _ in tracer.TARGETS:
         target = getattr(importlib.import_module(f"keyrates.{module}"), func, None)
         assert callable(target), f"keyrates.{module}.{func}"
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # perfbench/checks.py imports the two tuners from keyrates.finite_key
+    # itself; without them every optimize and compare check fails.
+    imported = [
+        (node.module, alias.name)
+        for path in sorted((REPO / "perfbench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "keyrates"
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        resolves = hasattr(importlib.import_module(module), name)
+        assert resolves or importlib.util.find_spec(f"{module}.{name}"), f"{module}.{name}"

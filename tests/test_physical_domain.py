@@ -15,9 +15,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyrates.finite_key import ProtocolConfig, WcpIntensities
-from keyrates.finite_key.core import _protocol_valid
-from keyrates.finite_key.wcp import _wcp_valid
+from keyrates.finite_key.core import ProtocolConfig, _protocol_valid
+from keyrates.finite_key.wcp import WcpIntensities, _wcp_valid
 from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec, _sps_valid
 
 ULPS = st.integers(-3, 3)

@@ -105,18 +105,67 @@ def test_simulate_matches_pinned_text(capsys):
 
 # NumPy dispatches exp, expm1, log and log2 to AVX-512 loops where the CPU
 # has them, and those round differently from the AVX2 and baseline loops.
-# A child with that dispatch switched off must print the same texts. It
-# fails first if the variable left any of the switched-off targets on.
+# A child with that dispatch switched off must print the same texts, and
+# its lane scorers must equal the float scorers bit for bit. It fails
+# first if the variable left any of the switched-off targets on.
 NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
-NO_AVX512_CHILD = (
+NO_AVX512_CHECK = (
     "import os, sys\n"
     "import numpy as np\n"
     "features = (getattr(np, '_core', None) or np.core)._multiarray_umath.__cpu_features__\n"
     "left_on = [f for f in os.environ['NPY_DISABLE_CPU_FEATURES'].split() if features.get(f)]\n"
     "assert not left_on, left_on\n"
-    "from keyrates.cli import run\n"
-    "sys.exit(run(sys.argv[1:]))\n"
 )
+NO_AVX512_CHILD = NO_AVX512_CHECK + "from keyrates.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+
+# Prints the number of points where each lane scorer differs from its
+# float scorer: SPS, then WCP under Hoeffding and under Chernoff.
+LANES_AGAINST_FLOATS = """
+from dataclasses import replace
+from keyrates.cli import bundled_field_config, load_config
+from keyrates.finite_key.comparison import (
+    WCP_RECEIVER_Z_RATIO, _sps_rate_or_zero, _wcp_rate_or_zero,
+)
+from keyrates.finite_key.core import _link_yields, _sps_lanes
+from keyrates.finite_key.wcp import _wcp_lanes
+
+config = load_config(bundled_field_config())
+channel, proto, sec = config.channel, config.proto, config.sec
+wcp_proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
+rng, n = np.random.default_rng(0), 2000
+loss, n_mean, g2 = rng.uniform(0, 40, n), rng.uniform(0.05, 1, n), rng.uniform(0, 0.5, n)
+q, t = rng.uniform(0.5, 0.99, n), 10.0 ** rng.uniform(-4, 0, n)
+mu_s = rng.uniform(0.1, 1, n)
+mu_d, p_s = mu_s * rng.uniform(0.05, 0.9, n), rng.uniform(0.5, 0.95, n)
+p_d = (1 - p_s) * rng.uniform(0.1, 0.9, n)
+points = list(zip(*(a.tolist() for a in (loss, n_mean, g2, q, t, mu_s, mu_d, p_s, p_d))))
+
+def mismatches(lanes, floats):
+    return sum(a != b for a, b in zip(lanes.tolist(), floats))
+
+counts = [mismatches(
+    _sps_lanes(n_mean, g2, q, loss, channel, proto, sec)(t),
+    [_sps_rate_or_zero(nm, g, qq, tt, _link_yields(channel, l), proto, sec)
+     for l, nm, g, qq, tt, *_ in points],
+)]
+for concentration in ("hoeffding", "chernoff"):
+    counts.append(mismatches(
+        _wcp_lanes(loss, channel, wcp_proto, sec, concentration)(mu_s, mu_d, p_s, p_d, q),
+        [_wcp_rate_or_zero(ms, md, ps, pd, qq, replace(channel, channel_loss_db=l),
+                           wcp_proto, sec, concentration)
+         for l, _, _, qq, _, ms, md, ps, pd in points],
+    ))
+print(*counts)
+"""
+
+
+def run_without_avx512(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` in a child whose NumPy has AVX-512 dispatch off."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
 
 
 @pytest.mark.parametrize(
@@ -127,11 +176,15 @@ NO_AVX512_CHILD = (
     ],
 )
 def test_output_matches_pinned_text_without_avx512_dispatch(argv, expected):
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     args = [arg.format(field=bundled_field_config()) for arg in argv]
-    result = subprocess.run(
-        [sys.executable, "-c", NO_AVX512_CHILD, *args], env=env, capture_output=True, text=True
-    )
+    result = run_without_avx512(NO_AVX512_CHILD, *args)
     assert result.returncode == 0, result.stderr
     assert_agrees(result.stdout, (DATA / expected).read_text())
+
+
+def test_lanes_equal_float_scores_without_avx512_dispatch():
+    # 2,000 fixed random points, 0-40 dB. With AVX-512 on, NumPy's exp and
+    # log round differently from math's, and some points differ.
+    result = run_without_avx512(NO_AVX512_CHECK + LANES_AGAINST_FLOATS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0", "0"]

@@ -10,25 +10,28 @@ from hypothesis import strategies as st
 
 from keyrates.asymptotic import wcp_asymptotic_rate
 from keyrates.channel import ChannelDetectorModel, link_transmittance
-from keyrates.finite_key import (
-    DecoyInfeasible,
-    ProtocolConfig,
-    SecurityParams,
-    WcpIntensities,
-    wcp_asymptotic_practical_rate,
-    wcp_finite_key_rate,
-)
 from keyrates.channel import dark_count_prob
 from keyrates.finite_key.comparison import optimized_wcp_rate
-from keyrates.finite_key.core import KeyReport, _chernoff, _float_or_numpy, _ops
+from keyrates.finite_key.core import (
+    KeyReport,
+    ProtocolConfig,
+    SecurityParams,
+    _chernoff,
+    _float_or_numpy,
+    _ops,
+)
 from keyrates.finite_key.wcp import (
     CONCENTRATIONS,
     WCP_CONCENTRATION_USES,
+    DecoyInfeasible,
+    WcpIntensities,
     _poisson_gains,
     _wcp_distil,
     _wcp_expectation,
     _wcp_key_lengths,
     _wcp_lanes,
+    wcp_asymptotic_practical_rate,
+    wcp_finite_key_rate,
 )
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
