@@ -27,6 +27,10 @@ MUTATION_PROB = 0.1
 MUTATION_SIGMA_FRACTION = 0.1
 ELITE_COUNT = 2
 
+# A raw 64-bit PCG64 word w decodes to the uniform (w >> 11) / _WORD_SCALE.
+_WORD_SCALE = 2.0**53
+_LOW_32 = 0xFFFFFFFF
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -180,29 +184,89 @@ def optimize(
 def _breed(rng: np.random.Generator, population, n_children: int, sigma, lows, highs):
     """One generation's children of a population sorted best first.
 
-    Each child draws, in this order: both tournaments in one ``integers``
-    call (with PCG64, the values and stream position of two calls), the
-    crossover test and mask, the mutation uniforms and, only if a gene
-    mutates, the normals of ``rng.normal(0.0, sigma)``. The arithmetic on
-    the draws then runs once for the whole generation.
+    Each child draws, in this order: the indices of both tournaments as
+    ``rng.integers(0, pop_size, 2 * TOURNAMENT_SIZE)`` draws them, the
+    crossover test, the crossover mask if the child crosses over, the
+    mutation uniforms and, only if a gene mutates, the normals of
+    ``rng.standard_normal``. All but the normals are read from the
+    bit generator's raw 64-bit words, decoded as ``Generator`` decodes
+    them, so the stream and the final ``bit_generator.state`` are those of
+    the ``Generator`` calls. One ``random_raw(4 + n_genes)`` call covers a
+    child that does not cross over: no child takes fewer words before its
+    normals. The arithmetic on the draws then runs once for the whole
+    generation.
     """
     pop_size, n_genes = population.shape
-    # The rows of a child that does not cross (no uniform of 1 is below 0.5) or mutate.
-    no_crossover, no_noise = np.ones(n_genes), np.zeros(n_genes)
-    picks, crossover_u, mutation_u, noise = [], [], [], []
+    bits = rng.bit_generator
+    raw, normal = bits.random_raw, rng.standard_normal
+    state = bits.state
+    has_half, half = state["has_uint32"], state["uinteger"]
+    # A word w's uniform is below p exactly when w >> 11 is below p * 2**53.
+    crossover_limit, mutation_limit = CROSSOVER_PROB * _WORD_SCALE, MUTATION_PROB * _WORD_SCALE
+    # The rows of a child that does not cross (the largest word decodes to
+    # a uniform above 0.5) or mutate.
+    no_crossover, no_noise = [(1 << 64) - 1] * n_genes, np.zeros(n_genes)
+    winners, crossover_words, mutation_words, noise = [], [], [], []
     for _ in range(n_children):
-        picks.append(rng.integers(0, pop_size, 2 * TOURNAMENT_SIZE))
-        crossover_u.append(rng.random(n_genes) if rng.random() < CROSSOVER_PROB else no_crossover)
-        u = rng.random(n_genes)
-        mutation_u.append(u)
-        noise.append(rng.standard_normal(n_genes) if min(u.tolist()) < MUTATION_PROB else no_noise)
-    # The tournament winner is the lowest drawn index.
-    picks = np.array(picks)
-    parent_a = population[picks[:, :TOURNAMENT_SIZE].min(1)]
-    parent_b = population[picks[:, TOURNAMENT_SIZE:].min(1)]
-    child = np.where(np.array(crossover_u) < 0.5, parent_b, parent_a)
-    child = np.where(np.array(mutation_u) < MUTATION_PROB, child + np.array(noise) * sigma, child)
+        words = raw(4 + n_genes).tolist()
+        picks, k, has_half, half = _bounded_uint32s(
+            pop_size, 2 * TOURNAMENT_SIZE, words, has_half, half, raw
+        )
+        # The tournament winner is the lowest drawn index.
+        winners += (min(picks[:TOURNAMENT_SIZE]), min(picks[TOURNAMENT_SIZE:]))
+        if k == len(words):  # redraws took every prefetched word
+            words.append(raw())
+        crossed = words[k] >> 11 < crossover_limit
+        end = k + 1 + n_genes * (1 + crossed)
+        if len(words) < end:  # a crossover or redraws need more words
+            words += raw(end - len(words)).tolist()
+        crossover_words += words[k + 1 : k + 1 + n_genes] if crossed else no_crossover
+        u = words[end - n_genes : end]
+        mutation_words += u
+        noise.append(normal(n_genes) if min(u) >> 11 < mutation_limit else no_noise)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = has_half, half
+    bits.state = state
+
+    crossover_u, mutation_u = (
+        (np.array([crossover_words, mutation_words], dtype=np.uint64) >> 11) / _WORD_SCALE
+    ).reshape(2, n_children, n_genes)
+    parents = population[winners]
+    child = np.where(crossover_u < 0.5, parents[1::2], parents[::2])
+    child = np.where(mutation_u < MUTATION_PROB, child + np.array(noise) * sigma, child)
     return np.minimum(np.maximum(child, lows), highs)
+
+
+def _bounded_uint32s(n: int, count: int, words: list[int], has_half: int, half: int, raw):
+    """``count`` draws of ``rng.integers(0, n, count)``, for 2 <= n <= 2**32,
+    read from the PCG64 words ``words``.
+
+    NumPy's PCG64 draws 32 bits from half a 64-bit word. With a half
+    pending (``has_uint32``) it returns it (``uinteger``) and clears the
+    flag; otherwise it returns the low half of a new word and keeps the
+    high half pending. Each 32-bit draw x then goes through Lemire's
+    bounded method (ACM TOMACS 29(1), 2019): m = x * n is redrawn while
+    m mod 2**32 < 2**32 mod n, and the index is m >> 32. Words past the
+    end of ``words`` are fetched with ``raw()`` and appended to it.
+
+    Returns the draws, the number of words read, and the new
+    ``has_uint32`` and ``uinteger``.
+    """
+    threshold = (1 << 32) % n
+    draws: list[int] = []
+    k = 0
+    while len(draws) < count:
+        if has_half:
+            x, has_half = half, 0
+        else:
+            if k == len(words):
+                words.append(raw())
+            x, half, has_half = words[k] & _LOW_32, words[k] >> 32, 1
+            k += 1
+        m = x * n
+        if m & _LOW_32 >= threshold:
+            draws.append(m >> 32)
+    return draws, k, has_half, half
 
 
 def _coordinate_polish(

@@ -682,6 +682,46 @@ class TestOptimizeCommand:
         capsys.readouterr()
         assert counts == work
 
+    @pytest.mark.parametrize(
+        "target, calls",
+        [
+            ("sps", {"random": 1, "integers": 0, "random_raw": 5150, "standard_normal": 552}),
+            ("wcp", {"random": 1, "integers": 0, "random_raw": 16329, "standard_normal": 4415}),
+        ],
+    )
+    def test_cli_optimize_random_calls(self, monkeypatch, capsys, target, calls):
+        # The GA draws its initial population with one random() call. Each
+        # child then reads its draws from one random_raw call, a second
+        # one only if it crosses over, and one standard_normal call only
+        # if a gene mutates; no child calls integers. SPS breeds 63
+        # generations of 48 children, WCP 200.
+        import numpy as np
+
+        counts = dict.fromkeys(calls, 0)
+
+        def counting(name, method):
+            def counted(self, *args, **kwargs):
+                counts[name] += 1
+                return method(self, *args, **kwargs)
+
+            return counted
+
+        class CountingPCG64(np.random.PCG64):
+            random_raw = counting("random_raw", np.random.PCG64.random_raw)
+
+        class CountingGenerator(np.random.Generator):
+            random = counting("random", np.random.Generator.random)
+            integers = counting("integers", np.random.Generator.integers)
+            standard_normal = counting("standard_normal", np.random.Generator.standard_normal)
+
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: CountingGenerator(CountingPCG64(seed))
+        )
+        argv = ["optimize", bundled_field_config(), "--target", target, "--seed", "7"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert counts == calls
+
 
 class TestCompareCommand:
     def test_reports_advantage_and_crossover(self, field_cfg, capsys):

@@ -14,6 +14,7 @@ from keyrates.optimizer import (
     GASettings,
     OptimizationResult,
     SearchSpace,
+    _bounded_uint32s,
     _breed,
     optimize,
 )
@@ -157,12 +158,13 @@ def test_decode_of_a_gene_array_matches_each_row():
 
 @pytest.mark.parametrize("n", [4, 5, 50, 10_000, 2**31 + 1])
 def test_one_tournament_call_draws_what_two_calls_draw(n):
-    # _breed draws both tournaments of a child in one integers call. With
-    # PCG64 a bounded 32-bit draw takes half of a 64-bit word and keeps the
-    # other half for the next call, so the merged call must give the same
-    # indices and leave the stream where two calls leave it; a random()
-    # call between children must agree too. At 2**31 + 1 about half the
-    # 32-bit draws are rejected.
+    # _bounded_uint32s emulates one integers(0, n, 6) call per child, while
+    # _children_one_at_a_time draws each tournament in its own call of 3.
+    # With PCG64 a bounded 32-bit draw takes half of a 64-bit word and
+    # keeps the other half for the next call, so the merged call must give
+    # the same indices and leave the stream where two calls leave it; a
+    # random() call between children must agree too. At 2**31 + 1 about
+    # half the 32-bit draws are rejected.
     for seed in range(20):
         merged, split = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(50):
@@ -171,6 +173,44 @@ def test_one_tournament_call_draws_what_two_calls_draw(n):
             assert both == first + split.integers(0, n, TOURNAMENT_SIZE).tolist()
             assert merged.random() == split.random()
         assert merged.bit_generator.state == split.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [4, 5, 50, 10_000, 3 * 2**30, 2**31 + 1])
+@pytest.mark.parametrize("pending_half", [0, 1])
+def test_bounded_uint32s_draws_what_integers_draws(n, pending_half):
+    # _bounded_uint32s reads both tournaments of a child from raw PCG64
+    # words. It must give the indices of one integers(0, n, 6) call and
+    # leave bit_generator.state, has_uint32 and uinteger included, where
+    # integers leaves it; a random() call between children must agree
+    # too. At 3 * 2**30 and 2**31 + 1 about 25 % and 50 % of the 32-bit
+    # draws are rejected and redrawn.
+    count = 2 * TOURNAMENT_SIZE
+    words_read = 0
+    for seed in range(20):
+        emulated, merged = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending_half:
+            emulated.integers(0, 7), merged.integers(0, 7)
+        bits = emulated.bit_generator
+        state = bits.state
+        assert state["has_uint32"] == pending_half
+        has_half, half = state["has_uint32"], state["uinteger"]
+        for child in range(50):
+            # Odd children prefetch the fewest words six draws can take;
+            # even ones fetch every word through raw().
+            words = bits.random_raw(3).tolist() if child % 2 else []
+            draws, k, has_half, half = _bounded_uint32s(
+                n, count, words, has_half, half, bits.random_raw
+            )
+            words_read += k
+            assert k == len(words)
+            assert draws == merged.integers(0, n, count).tolist()
+            assert emulated.random() == merged.random()
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = has_half, half
+        bits.state = state
+        assert state == merged.bit_generator.state
+    # Without redraws, 20 * 50 children read 3 words each.
+    assert (words_read > 3000) == (n > 2**30)
 
 
 def _children_one_at_a_time(rng, population, n_children, sigma, lows, highs):
@@ -195,6 +235,7 @@ def _children_one_at_a_time(rng, population, n_children, sigma, lows, highs):
 @pytest.mark.parametrize("crossover_prob", [None, 0.0, 1.0])
 @pytest.mark.parametrize("mutation_prob", [None, 0.0, 1.0])
 def test_breed_matches_children_built_one_at_a_time(monkeypatch, crossover_prob, mutation_prob):
+    # _breed reads CROSSOVER_PROB and MUTATION_PROB when it is called.
     if crossover_prob is not None:
         monkeypatch.setattr(optimizer, "CROSSOVER_PROB", crossover_prob)
     if mutation_prob is not None:
@@ -208,9 +249,35 @@ def test_breed_matches_children_built_one_at_a_time(monkeypatch, crossover_prob,
             for seed in range(20):
                 genes = np.random.default_rng(1000 + seed).random((pop_size, n_genes))
                 population = lows + genes * span
-                args = (population, pop_size - ELITE_COUNT, sigma, lows, highs)
                 batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+                if seed % 2:
+                    # Start with half a word pending (has_uint32 = 1).
+                    batched.integers(0, 7), looped.integers(0, 7)
+                # Consecutive generations on one generator carry a pending
+                # half-word from one generation into the next.
+                for _ in range(5):
+                    args = (population, pop_size - ELITE_COUNT, sigma, lows, highs)
+                    children = _breed(batched, *args)
+                    expected = _children_one_at_a_time(looped, *args)
+                    assert children.tolist() == expected.tolist()
+                    assert batched.bit_generator.state == looped.bit_generator.state
+                    population = np.vstack([population[:ELITE_COUNT], children])
+
+
+def test_breed_matches_the_loop_when_redraws_outrun_the_prefetch():
+    # With 2**31 + 1 candidates about half the 32-bit tournament draws are
+    # redrawn, so a child's tournaments often read past the 4 + n_genes
+    # words _breed prefetches. A broadcast population has that many rows
+    # without storing them; equal rows leave the stream, and the state
+    # after each generation, to tell the draws apart.
+    for n_genes in (1, 2):
+        lows, highs = np.zeros(n_genes), np.ones(n_genes)
+        population = np.broadcast_to(np.linspace(0.2, 0.8, n_genes), (2**31 + 1, n_genes))
+        sigma = MUTATION_SIGMA_FRACTION * (highs - lows)
+        args = (population, 48, sigma, lows, highs)
+        for seed in range(5):
+            batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
                 children = _breed(batched, *args)
-                expected = _children_one_at_a_time(looped, *args)
-                assert children.tolist() == expected.tolist()
+                assert children.tolist() == _children_one_at_a_time(looped, *args).tolist()
                 assert batched.bit_generator.state == looped.bit_generator.state
