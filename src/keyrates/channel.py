@@ -42,15 +42,15 @@ class ChannelDetectorModel:
     misalignment_prob: float
 
     def __post_init__(self) -> None:
-        if self.channel_loss_db < 0:
+        if not self.channel_loss_db >= 0:
             raise ValueError(f"channel_loss_db must be >= 0, got {self.channel_loss_db}")
         for name in ("fiber_optics_efficiency", "detection_efficiency"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.dark_count_rate_cps < 0:
+        if not self.dark_count_rate_cps >= 0:
             raise ValueError(f"dark_count_rate_cps must be >= 0, got {self.dark_count_rate_cps}")
-        if self.gate_width_s <= 0:
+        if not self.gate_width_s > 0:
             raise ValueError(f"gate_width_s must be > 0, got {self.gate_width_s}")
         if not 0.0 <= self.misalignment_prob <= 0.5:
             raise ValueError(

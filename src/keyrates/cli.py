@@ -26,7 +26,6 @@ from .channel import ChannelDetectorModel, RateTooHigh
 from .finite_key.comparison import (
     WCP_RECEIVER_Z_RATIO,
     NoCrossover,
-    _sps_rate_or_zero,
     _wcp_rate_or_zero,
     advantage_db,
     compare,
@@ -37,7 +36,6 @@ from .finite_key.core import (
     InsufficientBlock,
     ProtocolConfig,
     SecurityParams,
-    _link_yields,
     _sps_lanes,
     sps_expected_rate,
 )
@@ -345,13 +343,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         _require_sps(config, "optimize --target sps")
         space = SearchSpace({"q_z_tx": (0.5, 0.99), "pre_attenuation": (1e-6, 1.0)})
         n_mean, g2 = config.source.mean_photon_number, config.source.g2
-        link = _link_yields(config.channel, config.channel.channel_loss_db)
 
         def objective(params: dict[str, float]) -> float:
-            return _sps_rate_or_zero(
-                n_mean, g2, params["q_z_tx"], params["pre_attenuation"],
-                link, config.proto, config.sec,
-            )
+            proto = replace(config.proto, **params)
+            try:
+                report = sps_expected_rate(config.source, config.channel, proto, config.sec)
+            except (InsufficientBlock, NonPhysicalSource, UndefinedG2):
+                return 0.0
+            return report.rate_per_pulse
 
         def score_population(columns: dict[str, np.ndarray]) -> np.ndarray:
             lanes = _sps_lanes(

@@ -19,19 +19,8 @@ import numpy as np
 
 from ..asymptotic import BoundaryCurve, EmptyCurve
 from ..channel import ChannelDetectorModel
-from ..photon_source import SourceKind, SourceSpec, _sps_moment_rules, _sps_probs, _sps_valid
-from .core import (
-    ProtocolConfig,
-    SecurityParams,
-    _MATH,
-    _float_or_numpy,
-    _link_yields,
-    _ops,
-    _protocol_valid,
-    _sps_expectation,
-    _sps_key_lengths,
-    _sps_lanes,
-)
+from ..photon_source import SourceKind, SourceSpec
+from .core import ProtocolConfig, SecurityParams, _MATH, _ops, _sps_lanes
 from .wcp import (
     DecoyInfeasible,
     WcpIntensities,
@@ -148,45 +137,6 @@ def _itp_bracket(margin, lo, hi, m_lo, m_hi) -> tuple[float, float]:
     return lo, hi
 
 
-def _sps_rate_or_zero(n_mean, g2, q_z_tx, pre_attenuation, link_yields, proto, sec) -> float:
-    """``sps_expected_rate(...).rate_per_pulse`` at one point, 0 where that raises.
-
-    ``link_yields`` is ``_link_yields`` at the point's loss. Makes the
-    scalar path's checks and kernel calls without building its dataclasses.
-    """
-    protocol_ok = _protocol_valid(q_z_tx, proto.q_z_rx, proto.block_size, pre_attenuation)
-    if not (_sps_valid(n_mean, g2) and protocol_ok):
-        return 0.0
-    yields, error_yields = link_yields
-    mean, g2_launched, q, qber, n_s, n_x = _float_or_numpy(
-        _sps_expectation,
-        (_sps_probs(n_mean, g2), pre_attenuation, yields, error_yields, q_z_tx, proto),
-    )
-    # UndefinedG2, zero gain, then the launched source's NonPhysicalSource.
-    if not (mean * mean > 0.0 and q > 0.0 and all(_sps_moment_rules(mean, g2_launched))):
-        return 0.0
-    block = proto.block_size
-    report, insufficient = _float_or_numpy(
-        _sps_key_lengths,
-        (n_s, block, n_x, qber * block, qber * n_x, g2_launched * (mean * mean) / 2.0, q_z_tx, sec),
-    )
-    return 0.0 if insufficient else report.rate_per_pulse
-
-
-def _sps_rescore(n_mean, g2, loss_db, q_z_tx, pre_attenuation, channel, proto, sec) -> np.ndarray:
-    """``_sps_rate_or_zero`` of broadcast lanes, deriving each distinct loss's yields once."""
-    lanes = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (n_mean, g2, loss_db, q_z_tx, pre_attenuation))
-    )
-    n_mean, g2, loss_db, q_z_tx, pre_attenuation = (a.ravel().tolist() for a in lanes)
-    links = {loss: _link_yields(channel, loss) for loss in set(loss_db)}
-    rates = [
-        _sps_rate_or_zero(n, g, q, t, links[loss], proto, sec)
-        for n, g, loss, q, t in zip(n_mean, g2, loss_db, q_z_tx, pre_attenuation)
-    ]
-    return np.array(rates).reshape(lanes[0].shape)
-
-
 def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, ...]:
     """The tuned ``(q_z_tx, pre_attenuation, rate)`` of broadcast (<n>, g2, loss) lanes.
 
@@ -196,6 +146,11 @@ def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, .
     as well, then the first best candidate, whose lane score is ``rate``.
     The golden point and the unattenuated one are two rows of one call,
     so a call of this function makes 33 ``_sps_lanes`` calls.
+
+    ``rate`` is the rate every SPS tuner reports and decides by. It is
+    ``sps_expected_rate`` at the lane's point, 0 where that raises: bit
+    for bit where NumPy's ``exp`` and ``log`` round as libm's do, and
+    within a few ulps where its AVX-512 loops round otherwise.
     """
     n_mean, g2, loss_db = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (n_mean, g2, loss_db))
@@ -212,18 +167,6 @@ def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, .
     best = np.argmax(rate, axis=-1)[..., None]
     t, rate = (np.take_along_axis(a, best, -1)[..., 0] for a in (t, rate))
     return q_grid[best[..., 0]], t, rate
-
-
-def _tune_sps(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, ...]:
-    """``optimized_sps_rate`` for broadcast (<n>, g2, loss) lanes at once.
-
-    ``_sps_argmax`` tunes every lane, and ``_sps_rescore`` scores each
-    lane's winner on floats. Returns the rates, basis ratios and
-    pre-attenuations of the lanes.
-    """
-    q_best, t_best, _ = _sps_argmax(n_mean, g2, loss_db, channel, proto, sec)
-    rates = _sps_rescore(n_mean, g2, loss_db, q_best, t_best, channel, proto, sec)
-    return rates, q_best, t_best
 
 
 def _sps_parameters(source: SourceSpec) -> tuple[float, float]:
@@ -243,10 +186,11 @@ def optimized_sps_rate(
 
     Returns the rate and the protocol configuration that achieves it.
     Infeasible corners (multi-photon cap swallowing the block) score
-    zero rather than raising. One lane of ``_tune_sps``.
+    zero rather than raising. One lane of ``_sps_argmax``, whose lane
+    rate it returns.
     """
     n_mean, g2 = _sps_parameters(source)
-    rate, q_tx, t = _tune_sps(n_mean, g2, channel.channel_loss_db, channel, proto, sec)
+    q_tx, t, rate = _sps_argmax(n_mean, g2, channel.channel_loss_db, channel, proto, sec)
     return float(rate), replace(proto, q_z_tx=float(q_tx), pre_attenuation=float(t))
 
 
@@ -438,11 +382,12 @@ def sweep_rates(
 ) -> list[tuple[float, float, float, float]]:
     """Optimised (loss, r_sps, r_wcp, advantage) rows for a loss sweep.
 
-    Each side of every loss is tuned in one call, ``_tune_sps`` and
-    ``_tune_wcp``.
+    Each side of every loss is tuned in one call, ``_sps_argmax`` and
+    ``_tune_wcp``. The SPS rates are the arg-max's lane rates; only the
+    WCP winners are scored again on floats.
     """
     n_mean, g2 = _sps_parameters(source)
-    sps_rates = _tune_sps(n_mean, g2, losses, channel, proto, sec)[0].tolist()
+    sps_rates = _sps_argmax(n_mean, g2, losses, channel, proto, sec)[2].tolist()
     wcp_rates = [rate for rate, _, _ in _tune_wcp(losses, channel, proto, sec)]
     return [
         (loss, r_sps, r_wcp, advantage_db(r_sps, r_wcp))

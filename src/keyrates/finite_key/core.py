@@ -74,7 +74,7 @@ class SecurityParams:
             value = getattr(self, name)
             if not EPS_MIN <= value < 1.0:
                 raise ValueError(f"{name} must be in [{EPS_MIN:g}, 1), got {value}")
-        if self.f_ec < 1.0:
+        if not self.f_ec >= 1.0:
             raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
 
 

@@ -652,17 +652,29 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize(
         "target, work",
         [
-            ("sps", {"scorer": 64, "rows": 3074, "polish": 172}),
-            ("wcp", {"scorer": 201, "rows": 9650, "polish": 516}),
+            ("sps", {"scorer": 64, "rows": 3074, "polish": 172, "float": 172}),
+            ("wcp", {"scorer": 201, "rows": 9650, "polish": 516, "float": 516}),
         ],
     )
     def test_cli_optimize_work_counts(self, monkeypatch, capsys, target, work):
         # The GA scores its populations through the lane scorer ("scorer"
-        # calls, "rows" in all); the polish scores single points on floats.
+        # calls, "rows" in all); the polish scores single points through
+        # the public float pipeline ("float" calls), and nothing else does.
         import keyrates.cli as cli
         from keyrates import optimizer
+        from keyrates.finite_key import comparison
 
         counts = dict.fromkeys(work, 0)
+        module, name = {
+            "sps": (cli, "sps_expected_rate"), "wcp": (comparison, "wcp_finite_key_rate")
+        }[target]
+        pipeline = getattr(module, name)
+
+        def counted_pipeline(*args, **kwargs):
+            counts["float"] += 1
+            return pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted_pipeline)
 
         def counted(objective, space, settings, *, score_population):
             def point(params):

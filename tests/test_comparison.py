@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from keyrates.asymptotic import EmptyCurve
 from keyrates.channel import ChannelDetectorModel
-from keyrates.cli import bundled_field_config, run
+from keyrates.cli import bundled_field_config, load_config, run
 from keyrates.finite_key.comparison import (
     CROSSOVER_SCAN_MAX_DB,
     Q_TX_GRID,
@@ -21,7 +21,7 @@ from keyrates.finite_key.comparison import (
     WCP_RECEIVER_Z_RATIO,
     NoCrossover,
     _golden_max,
-    _tune_sps,
+    _sps_argmax,
     _tune_wcp,
     advantage_db,
     compare,
@@ -170,9 +170,9 @@ def _scored_wcp_points():
 
 def _counted_sps_work(monkeypatch):
     """Count the SPS tuner's work from here on: ``_sps_argmax`` calls
-    ("tuner"), ``_sps_lanes`` scorer calls ("kernel") and float re-scores
-    ("rescore"). Returns the live counts."""
-    counts = dict.fromkeys(("tuner", "kernel", "rescore"), 0)
+    ("tuner") and ``_sps_lanes`` scorer calls ("kernel"). Returns the
+    live counts."""
+    counts = dict.fromkeys(("tuner", "kernel"), 0)
 
     def counted(key, fn):
         def wrapper(*args):
@@ -184,8 +184,6 @@ def _counted_sps_work(monkeypatch):
     lanes = comparison._sps_lanes
     monkeypatch.setattr(comparison, "_sps_argmax", counted("tuner", comparison._sps_argmax))
     monkeypatch.setattr(comparison, "_sps_lanes", lambda *args: counted("kernel", lanes(*args)))
-    rescore = counted("rescore", comparison._sps_rate_or_zero)
-    monkeypatch.setattr(comparison, "_sps_rate_or_zero", rescore)
     return counts
 
 
@@ -330,15 +328,15 @@ def test_stacked_sps_lanes_match_each_row_alone(rows, width, data):
     lanes = data.draw(st.lists(_BOUNDARY_LANE, min_size=rows * width, max_size=rows * width))
     n_mean, share, loss = np.array(lanes).T.reshape(3, rows, -1)
     g2 = share / n_mean
-    stacked = _tune_sps(n_mean, g2, loss, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+    stacked = _sps_argmax(n_mean, g2, loss, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
     for row in range(rows):
-        alone = _tune_sps(n_mean[row], g2[row], loss[row], FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        alone = _sps_argmax(n_mean[row], g2[row], loss[row], FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
         assert [a[row].tolist() for a in stacked] == [a.tolist() for a in alone]
-    assert np.all(stacked[0][np.logical_not(_sps_valid(n_mean, g2))] == 0.0)
+    assert np.all(stacked[2][np.logical_not(_sps_valid(n_mean, g2))] == 0.0)
 
 
 def _dataclass_sps_rate(n_mean, g2, channel, proto, sec):
-    """The tuner's float re-score as it ran through ``sps_expected_rate``."""
+    """``sps_expected_rate`` at one point, 0 where the float pipeline raises."""
     try:
         source = SourceSpec(SourceKind.SPS, n_mean, g2)
         return sps_expected_rate(source, channel, proto, sec).rate_per_pulse
@@ -347,31 +345,41 @@ def _dataclass_sps_rate(n_mean, g2, channel, proto, sec):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.tuples(_BOUNDARY_LANE, st.sampled_from(Q_TX_GRID), st.floats(1e-4, 1.0)),
-        min_size=1,
-        max_size=6,
-    ),
-)
+@given(_BOUNDARY_LANE)
 # Zeros: a rejected source, a swallowed block at 40 dB, and g2 = 1/<n>,
 # where the launched g2 <n> rounds above 1.
-@example([((1.2, 1.5, 0.0), 0.99, 1.0), ((0.3, 0.5, 40.0), 0.9, 1.0)])
-@example([((0.5837843979428032, 1.0, 0.0), 0.9, 1.0), ((0.5837843979428032, 1.0, 5.0), 0.5, 0.3)])
-def test_float_rescore_matches_the_dataclass_pipeline(points):
-    # Bit for bit, zeros included, with the link yields shared per loss.
-    lanes, q_tx, t = zip(*points)
-    n_mean, share, loss = np.array(lanes).T
+@example((1.2, 1.5, 0.0))
+@example((0.3, 0.5, 40.0))
+@example((0.5837843979428032, 1.0, 0.0))
+def test_tuned_sps_rate_is_the_float_rate_at_its_point(lane):
+    # The lane rate the tuner reports is sps_expected_rate at the point it
+    # returns: within 1e-15, and exactly 0 wherever that call raises.
+    n_mean, share, loss = lane
     g2 = share / n_mean
-    rates = comparison._sps_rescore(n_mean, g2, loss, q_tx, t, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
-    expected = [
-        _dataclass_sps_rate(
-            n, g, replace(FIELD_CHANNEL, channel_loss_db=lo),
-            replace(FIELD_PROTO, q_z_tx=q, pre_attenuation=tb), FIELD_SEC,
-        )
-        for n, g, lo, q, tb in zip(n_mean.tolist(), g2.tolist(), loss.tolist(), q_tx, t)
-    ]
-    assert rates.tobytes() == np.array(expected, dtype=float).tobytes()
+    channel = replace(FIELD_CHANNEL, channel_loss_db=loss)
+    if _sps_valid(n_mean, g2):
+        source = SourceSpec(SourceKind.SPS, n_mean, g2)
+        rate, proto = optimized_sps_rate(source, channel, FIELD_PROTO, FIELD_SEC)
+    else:
+        # No SourceSpec holds this lane; finite_boundary tunes it as a lane.
+        point = _sps_argmax(n_mean, g2, loss, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
+        q_tx, t, rate = (float(a) for a in point)
+        proto = replace(FIELD_PROTO, q_z_tx=q_tx, pre_attenuation=t)
+    expected = _dataclass_sps_rate(n_mean, g2, channel, proto, FIELD_SEC)
+    assert abs(rate - expected) <= 1e-15 * expected
+
+
+def test_field_scan_sps_rates_are_the_float_rates():
+    # Bit for bit at compare's 32 losses on field.cfg, so the printed
+    # scan is the float pipeline's.
+    config = load_config(bundled_field_config())
+    source, proto, sec = config.source, config.proto, config.sec
+    losses = [config.channel.channel_loss_db, *map(float, range(31))]
+    rows = sweep_rates(source, config.channel, proto, sec, losses)
+    for loss, r_sps, _, _ in rows:
+        channel = replace(config.channel, channel_loss_db=loss)
+        rate, tuned = optimized_sps_rate(source, channel, proto, sec)
+        assert r_sps == rate == sps_expected_rate(source, channel, tuned, sec).rate_per_pulse
 
 
 def _scalar_sps_rate(source, channel, proto, sec):
@@ -445,7 +453,7 @@ def _one_step_per_call_boundary(loss_db, grid):
     r_wcp, _, _ = optimized_wcp_rate(ch, FIELD_PROTO, FIELD_SEC)
 
     def sps_rates(n_mean, g2):
-        return _tune_sps(n_mean, g2, loss_db, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)[0]
+        return _sps_argmax(n_mean, g2, loss_db, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)[2]
 
     n_grid = np.array(sorted(grid), dtype=float)
     n_grid = n_grid[sps_rates(n_grid, 0.0) >= r_wcp]
@@ -540,10 +548,10 @@ def _compare_on_synthetic_margin(monkeypatch, sps):
         probes.append(channel.channel_loss_db)
         return sps(channel.channel_loss_db), proto
 
-    def tune_sps(n_mean, g2, losses, *rest):
-        return (np.array([sps(loss) for loss in losses]),)
+    def sps_argmax(n_mean, g2, losses, *rest):
+        return None, None, np.array([sps(loss) for loss in losses])
 
-    monkeypatch.setattr(comparison, "_tune_sps", tune_sps)
+    monkeypatch.setattr(comparison, "_sps_argmax", sps_argmax)
     monkeypatch.setattr(
         comparison, "_tune_wcp", lambda losses, *rest: [(1.0, None, 0.9) for _ in losses]
     )
@@ -634,12 +642,13 @@ class TestSweep:
     def test_cli_sweep_work_counts(self, monkeypatch, capsys):
         # The SPS side tunes all 31 losses in one arg-max call; the WCP side
         # scores its seed grid once per loss, then refines every loss in
-        # one lockstep of 176 lane calls. Each winner is scored once on floats.
+        # one lockstep of 176 lane calls. Each WCP winner is scored once on
+        # floats; the SPS side reports the arg-max's lane rates.
         counts = _counted_sps_work(monkeypatch)
         losses = ["--loss-min", "0", "--loss-max", "30", "--steps", "31"]
         with _scored_wcp_points() as points:
             assert run(["sweep", bundled_field_config(), *losses]) == 0
-        assert counts == {"tuner": 1, "kernel": 33, "rescore": 31}
+        assert counts == {"tuner": 1, "kernel": 33}
         assert (len(points["lanes"]), len(points["float"])) == (207, 31)
 
 
@@ -682,13 +691,13 @@ class TestFiniteBoundary:
         # reads the arg-max's lane rate, so nothing is re-scored on floats.
         counts = _counted_sps_work(monkeypatch)
         assert run(["boundary", bundled_field_config(), "--mode", "finite", "--loss", "0"]) == 0
-        assert counts == {"tuner": 15, "kernel": 495, "rescore": 0}
+        assert counts == {"tuner": 15, "kernel": 495}
 
     def test_cli_boundary_stops_once_no_lane_is_bisected(self, monkeypatch, capsys):
         # At 80 dB every lane matches at its top: the screening call is the only one.
         counts = _counted_sps_work(monkeypatch)
         assert run(["boundary", bundled_field_config(), "--mode", "finite", "--loss", "80"]) == 0
-        assert counts == {"tuner": 1, "kernel": 33, "rescore": 0}
+        assert counts == {"tuner": 1, "kernel": 33}
 
     def test_no_bisection_where_neither_side_makes_key(self):
         # At 80 dB both rates are 0, so every grid point matches at its
@@ -707,7 +716,7 @@ class TestFiniteBoundary:
 def _tuned_sps(channel=FIELD_CHANNEL, g2=FIELD_SOURCE.g2, loss=FIELD_CHANNEL.channel_loss_db):
     """Tuned SPS rates of the field source, one per broadcast lane."""
     n_mean = FIELD_SOURCE.mean_photon_number
-    return _tune_sps(n_mean, g2, loss, channel, FIELD_PROTO, FIELD_SEC)[0].tolist()
+    return _sps_argmax(n_mean, g2, loss, channel, FIELD_PROTO, FIELD_SEC)[2].tolist()
 
 
 def _non_increasing(rates):
@@ -842,5 +851,5 @@ def test_finite_boundary_g2_does_not_fall_as_mean_grows(loss_db, grid):
     dim, bright = np.triu_indices(n_mean.size, 1)
     ch = replace(FIELD_CHANNEL, channel_loss_db=loss_db)
     r_wcp, _, _ = optimized_wcp_rate(ch, FIELD_PROTO, FIELD_SEC)
-    rates = _tune_sps(n_mean[bright], g2[dim], loss_db, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)[0]
+    rates = _sps_argmax(n_mean[bright], g2[dim], loss_db, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)[2]
     assert np.all(rates >= r_wcp * (1.0 - 1e-11))

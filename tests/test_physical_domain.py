@@ -10,12 +10,15 @@ or ``~`` fails here. The strategies straddle every edge by a few ulps.
 """
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyrates.finite_key.core import ProtocolConfig, _protocol_valid
+from keyrates.channel import ChannelDetectorModel
+from keyrates.finite_key.core import ProtocolConfig, SecurityParams, _protocol_valid
 from keyrates.finite_key.wcp import WcpIntensities, _wcp_valid
 from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec, _sps_valid
 
@@ -140,3 +143,23 @@ def test_protocol_mask_is_false_exactly_where_the_config_raises(
         (0.9, 0.9, 1e8, 0.0),
         raises(lambda: ProtocolConfig(*point), ValueError),
     )
+
+
+# The parameter dataclasses without a lane mask reject NaN in every field,
+# as ``SourceSpec`` and ``ProtocolConfig`` do: each check is written so
+# that a comparison with NaN fails it.
+_FIELD_PARAMS = (
+    ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254),
+    SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16),
+    ProtocolConfig(q_z_tx=0.9),
+)
+
+
+@pytest.mark.parametrize(
+    "params, name",
+    [(params, field.name) for params in _FIELD_PARAMS for field in fields(params)],
+    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+)
+def test_nan_in_any_field_is_rejected(params, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        replace(params, **{name: math.nan})

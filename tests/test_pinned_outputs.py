@@ -123,11 +123,10 @@ NO_AVX512_CHILD = NO_AVX512_CHECK + "from keyrates.cli import run\nsys.exit(run(
 LANES_AGAINST_FLOATS = """
 from dataclasses import replace
 from keyrates.cli import bundled_field_config, load_config
-from keyrates.finite_key.comparison import (
-    WCP_RECEIVER_Z_RATIO, _sps_rate_or_zero, _wcp_rate_or_zero,
-)
-from keyrates.finite_key.core import _link_yields, _sps_lanes
+from keyrates.finite_key.comparison import WCP_RECEIVER_Z_RATIO, _wcp_rate_or_zero
+from keyrates.finite_key.core import InsufficientBlock, _sps_lanes, sps_expected_rate
 from keyrates.finite_key.wcp import _wcp_lanes
+from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 
 config = load_config(bundled_field_config())
 channel, proto, sec = config.channel, config.proto, config.sec
@@ -143,10 +142,18 @@ points = list(zip(*(a.tolist() for a in (loss, n_mean, g2, q, t, mu_s, mu_d, p_s
 def mismatches(lanes, floats):
     return sum(a != b for a, b in zip(lanes.tolist(), floats))
 
+def sps_rate(loss, n_mean, g2, q, t):
+    try:
+        return sps_expected_rate(
+            SourceSpec(SourceKind.SPS, n_mean, g2), replace(channel, channel_loss_db=loss),
+            replace(proto, q_z_tx=q, pre_attenuation=t), sec,
+        ).rate_per_pulse
+    except (InsufficientBlock, NonPhysicalSource, UndefinedG2):
+        return 0.0
+
 counts = [mismatches(
     _sps_lanes(n_mean, g2, q, loss, channel, proto, sec)(t),
-    [_sps_rate_or_zero(nm, g, qq, tt, _link_yields(channel, l), proto, sec)
-     for l, nm, g, qq, tt, *_ in points],
+    [sps_rate(*point[:5]) for point in points],
 )]
 for concentration in ("hoeffding", "chernoff"):
     counts.append(mismatches(
