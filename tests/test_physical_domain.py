@@ -145,9 +145,8 @@ def test_protocol_mask_is_false_exactly_where_the_config_raises(
     )
 
 
-# The parameter dataclasses without a lane mask reject NaN in every field,
-# as ``SourceSpec`` and ``ProtocolConfig`` do: each check is written so
-# that a comparison with NaN fails it.
+# The parameter dataclasses reject NaN in every field: each check is
+# written so that a comparison with NaN fails it.
 _FIELD_PARAMS = (
     ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254),
     SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16),
