@@ -129,7 +129,7 @@ def advantage_boundary(loss_db: float, grid: list[float]) -> BoundaryCurve:
     grid. A root beyond the SPS rule ``g2 <n> <= 1`` is capped at 1/<n>,
     as in ``finite_boundary``. Raises ``EmptyCurve`` when no point qualifies.
     """
-    if loss_db < 0:
+    if not loss_db >= 0:
         raise ValueError(f"loss_db must be >= 0, got {loss_db}")
     points = []
     for n_mean in sorted(grid):

@@ -17,7 +17,7 @@ import importlib.resources
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,37 +63,20 @@ class UnwritableOutput(ValueError):
     """Raised when the ``--output`` file cannot be written (a usage error)."""
 
 
-# key -> required
-_FLOAT_KEYS = {
-    "clock_rate_hz": True,
-    "mean_photon_number": True,
-    "g2": True,
-    "channel_loss_db": True,
-    "fiber_optics_efficiency": True,
-    "detection_efficiency": True,
-    "dark_count_rate_cps": True,
-    "gate_width_s": True,
-    "misalignment_prob": True,
-    "q_z_tx": True,
-    "q_z_rx": True,
-    "block_size": True,
-    "pre_attenuation": True,
-    "eps_pe": True,
-    "eps_pa": True,
-    "eps_ec": True,
-    "eps_cor": True,
-    "f_ec": True,
-    "eta_qd": False,
-    "eta_t": False,
-    "mu_signal": False,
-    "mu_decoy": False,
-    "p_signal": False,
-    "p_decoy": False,
-}
-_STRING_KEYS = {"source_kind": True}
+def _names(cls) -> tuple[str, ...]:
+    return tuple(field.name for field in fields(cls))
+
+
+# The config keys are the field names of the objects `load_config`
+# builds; only the clock rate, the source and the transmitter budget
+# are named here.
+_SECTIONS = {cls: _names(cls) for cls in (ChannelDetectorModel, ProtocolConfig, SecurityParams)}
+_DECOY_KEYS = _names(WcpIntensities)
 REQUIRED_KEYS = sorted(
-    [k for k, req in _FLOAT_KEYS.items() if req] + [k for k, req in _STRING_KEYS.items() if req]
+    ("clock_rate_hz", "source_kind", "mean_photon_number", "g2")
+    + tuple(name for names in _SECTIONS.values() for name in names)
 )
+_KNOWN_KEYS = {*REQUIRED_KEYS, "eta_qd", "eta_t", *_DECOY_KEYS}
 
 
 @dataclass(frozen=True)
@@ -150,18 +133,16 @@ def load_config(path: str) -> ExperimentConfig:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     entries = _parse_lines(text)
 
-    known = set(_FLOAT_KEYS) | set(_STRING_KEYS)
     for key, (_, lineno) in entries.items():
-        if key not in known:
+        if key not in _KNOWN_KEYS:
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
     missing = [key for key in REQUIRED_KEYS if key not in entries]
     if missing:
         raise ValidationError(f"missing required keys: {', '.join(missing)}")
 
-    values: dict[str, float | str] = {}
+    values: dict[str, float] = {}
     for key, (raw, lineno) in entries.items():
-        if key in _STRING_KEYS:
-            values[key] = raw.lower()
+        if key == "source_kind":
             continue
         try:
             values[key] = float(raw)
@@ -170,7 +151,7 @@ def load_config(path: str) -> ExperimentConfig:
         if not math.isfinite(values[key]):
             raise ValidationError(f"line {lineno}: key {key!r} must be finite, got {raw!r}")
 
-    kind_raw = values["source_kind"]
+    kind_raw = entries["source_kind"][0].lower()
     try:
         kind = SourceKind(kind_raw)
     except ValueError:
@@ -178,47 +159,23 @@ def load_config(path: str) -> ExperimentConfig:
 
     try:
         source = SourceSpec(kind, values["mean_photon_number"], values["g2"])
-        channel = ChannelDetectorModel(
-            channel_loss_db=values["channel_loss_db"],
-            fiber_optics_efficiency=values["fiber_optics_efficiency"],
-            detection_efficiency=values["detection_efficiency"],
-            dark_count_rate_cps=values["dark_count_rate_cps"],
-            gate_width_s=values["gate_width_s"],
-            misalignment_prob=values["misalignment_prob"],
-        )
-        proto = ProtocolConfig(
-            q_z_tx=values["q_z_tx"],
-            q_z_rx=values["q_z_rx"],
-            block_size=values["block_size"],
-            pre_attenuation=values["pre_attenuation"],
-        )
-        sec = SecurityParams(
-            eps_pe=values["eps_pe"],
-            eps_pa=values["eps_pa"],
-            eps_ec=values["eps_ec"],
-            eps_cor=values["eps_cor"],
-            f_ec=values["f_ec"],
+        channel, proto, sec = (
+            cls(**{name: values[name] for name in names}) for cls, names in _SECTIONS.items()
         )
         wcp = None
-        wcp_keys = ("mu_signal", "mu_decoy", "p_signal", "p_decoy")
-        if any(key in values for key in wcp_keys):
-            missing_wcp = [key for key in wcp_keys if key not in values]
+        if any(key in values for key in _DECOY_KEYS):
+            missing_wcp = [key for key in _DECOY_KEYS if key not in values]
             if missing_wcp:
                 raise ValidationError(
                     f"incomplete decoy description, missing: {', '.join(missing_wcp)}"
                 )
-            p_signal, p_decoy = values["p_signal"], values["p_decoy"]
+            decoy = {key: values[key] for key in _DECOY_KEYS}
             # Decimal probabilities that sum to one, such as 0.8 and 0.2,
             # can leave 1 - p_signal - p_decoy just below 0 in binary;
             # within NORMALIZATION_TOL the vacuum probability is taken as 0.
-            if -NORMALIZATION_TOL <= _p_vacuum(p_signal, p_decoy) < 0.0:
-                p_decoy = 1.0 - p_signal
-            wcp = WcpIntensities(
-                mu_signal=values["mu_signal"],
-                mu_decoy=values["mu_decoy"],
-                p_signal=p_signal,
-                p_decoy=p_decoy,
-            )
+            if -NORMALIZATION_TOL <= _p_vacuum(decoy["p_signal"], decoy["p_decoy"]) < 0.0:
+                decoy["p_decoy"] = 1.0 - decoy["p_signal"]
+            wcp = WcpIntensities(**decoy)
     except NonPhysicalSource as exc:
         raise ValidationError(f"NonPhysicalSource: {exc}") from exc
     except ValidationError:
@@ -273,17 +230,14 @@ def _require_sps(config: ExperimentConfig, command: str) -> None:
     config.source.distribution()
 
 
-def _cmd_rate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_rate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     for note in config.consistency_report():
         print(f"# consistency: {note}")
     if config.source.kind is SourceKind.SPS:
         report = sps_expected_rate(config.source, config.channel, config.proto, config.sec)
     else:
         if config.wcp is None:
-            raise ValidationError(
-                "source_kind = wcp needs mu_signal, mu_decoy, p_signal, p_decoy"
-            )
+            raise ValidationError(f"source_kind = wcp needs {', '.join(_DECOY_KEYS)}")
         report = wcp_finite_key_rate(config.wcp, config.channel, config.proto, config.sec)
     rate_pp = report.rate_per_pulse
     print(f"key_length = {format(report.key_length, '.17g')}")
@@ -298,8 +252,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
     _require_sps(config, "sweep")
     losses = [
         args.loss_min + i * (args.loss_max - args.loss_min) / (args.steps - 1)
@@ -313,8 +266,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_boundary(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_boundary(config: ExperimentConfig, args: argparse.Namespace) -> int:
     grid = [
         args.grid_min * (args.grid_max / args.grid_min) ** (i / (args.grid_points - 1))
         for i in range(args.grid_points)
@@ -332,8 +284,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_optimize(config: ExperimentConfig, args: argparse.Namespace) -> int:
     settings = GASettings(
         population_size=args.population,
         max_generations=args.generations,
@@ -427,8 +378,7 @@ def _simulate_lines(seed: int, draws: np.ndarray, key_length: np.ndarray, rate: 
             yield f"{trial_seed},{nz},{mz},{nx},{mx},{key:.9e},{r:.9e}"
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     _require_sps(config, "simulate")
     spec = TrialSpec(
         source=config.source,
@@ -453,8 +403,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_compare(config: ExperimentConfig, args: argparse.Namespace) -> int:
     _require_sps(config, "compare")
     report = compare(config.source, config.channel, config.proto, config.sec)
     _, r_sps0, r_wcp0 = report.scan[0]  # the crossover scan starts at 0 dB
@@ -576,7 +525,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return args.func(load_config(args.config), args)
     except UnwritableOutput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

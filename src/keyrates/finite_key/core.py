@@ -131,13 +131,13 @@ class TallySet:
     x_errors: float
 
     def __post_init__(self) -> None:
-        if self.n_pulses_sent < 0:
+        if not self.n_pulses_sent >= 0:
             raise ValueError("n_pulses_sent must be >= 0")
         if not 0 <= self.z_errors <= self.z_detections:
             raise ValueError("need 0 <= z_errors <= z_detections")
         if not 0 <= self.x_errors <= self.x_detections:
             raise ValueError("need 0 <= x_errors <= x_detections")
-        if self.z_detections + self.x_detections > self.n_pulses_sent:
+        if not self.z_detections + self.x_detections <= self.n_pulses_sent:
             raise ValueError("detections exceed pulses sent")
 
 
@@ -255,7 +255,7 @@ def chernoff_bound(x: float, eps: float, direction: str) -> float:
     ``x + beta + sqrt(2 beta x + beta^2)`` and the lower bound is
     ``max(0, x - sqrt(2 beta x))``; both collapse to x as eps -> 1.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"count must be >= 0, got {x}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must be in (0, 1], got {eps}")

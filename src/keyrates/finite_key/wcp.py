@@ -338,7 +338,7 @@ def wcp_asymptotic_practical_rate(
     error-correction overheads remain. The tuned ``optimized_wcp_rate``
     stays below it on the same receiver as the block grows.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError(f"mu must be > 0, got {mu}")
     eta = link_transmittance(channel)
     p_dc = dark_count_prob(channel)

@@ -127,7 +127,7 @@ def sps_distribution(n_mean: float, g2: float) -> PhotonNumberDistribution:
 
 def wcp_distribution(mu: float, n_max: int = DEFAULT_WCP_CUTOFF) -> PhotonNumberDistribution:
     """Poisson distribution with the tail absorbed into the last bin."""
-    if mu < 0:
+    if not mu >= 0:
         raise NonPhysicalSource(f"mu must be >= 0, got {mu}")
     if n_max < 2:
         raise NonPhysicalSource(f"n_max must be >= 2, got {n_max}")

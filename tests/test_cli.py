@@ -17,6 +17,7 @@ from keyrates.cli import (
     load_config,
     run,
 )
+from keyrates.finite_key.wcp import WcpIntensities
 from keyrates.montecarlo import TrialSpec, iter_trials
 
 FIELD_CFG_TEXT = """
@@ -71,9 +72,28 @@ class TestLoadConfig:
         path = write_cfg(tmp_path, "")
         with pytest.raises(ValidationError) as excinfo:
             load_config(path)
-        message = str(excinfo.value)
-        for key in ("clock_rate_hz", "mean_photon_number", "eps_pa", "source_kind"):
-            assert key in message
+        # The keys are the field names of the objects load_config builds,
+        # so renaming a field would rename its key; this pins all of them.
+        assert str(excinfo.value) == (
+            "missing required keys: block_size, channel_loss_db, clock_rate_hz, "
+            "dark_count_rate_cps, detection_efficiency, eps_cor, eps_ec, eps_pa, eps_pe, "
+            "f_ec, fiber_optics_efficiency, g2, gate_width_s, mean_photon_number, "
+            "misalignment_prob, pre_attenuation, q_z_rx, q_z_tx, source_kind"
+        )
+
+    def test_incomplete_decoy_group_lists_the_missing_keys(self, tmp_path):
+        path = write_cfg(tmp_path, FIELD_CFG_TEXT + "mu_signal = 0.5\n")
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == (
+            "incomplete decoy description, missing: mu_decoy, p_signal, p_decoy"
+        )
+
+    def test_all_six_optional_keys_load(self, tmp_path):
+        decoys = "mu_signal = 0.5\nmu_decoy = 0.15\np_signal = 0.7\np_decoy = 0.2\n"
+        config = load_config(write_cfg(tmp_path, FIELD_CFG_TEXT + decoys))
+        assert (config.eta_qd, config.eta_t) == (0.71, 0.410)
+        assert config.wcp == WcpIntensities(0.5, 0.15, 0.7, 0.2)
 
     def test_non_physical_source_named(self, tmp_path):
         text = FIELD_CFG_TEXT.replace("g2 = 0.00698", "g2 = 4.0")

@@ -17,10 +17,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from keyrates.asymptotic import advantage_boundary
 from keyrates.channel import ChannelDetectorModel
-from keyrates.finite_key.core import ProtocolConfig, SecurityParams, _protocol_valid
-from keyrates.finite_key.wcp import WcpIntensities, _wcp_valid
-from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec, _sps_valid
+from keyrates.finite_key.core import (
+    ProtocolConfig,
+    SecurityParams,
+    TallySet,
+    _protocol_valid,
+    chernoff_bound,
+)
+from keyrates.finite_key.wcp import WcpIntensities, _wcp_valid, wcp_asymptotic_practical_rate
+from keyrates.photon_source import (
+    NonPhysicalSource,
+    SourceKind,
+    SourceSpec,
+    _sps_valid,
+    wcp_distribution,
+)
 
 ULPS = st.integers(-3, 3)
 WIDE = st.one_of(
@@ -162,3 +175,26 @@ _FIELD_PARAMS = (
 def test_nan_in_any_field_is_rejected(params, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         replace(params, **{name: math.nan})
+
+
+_CHANNEL, _SEC, _PROTO = _FIELD_PARAMS
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TallySet(math.nan, 1, 1, 0, 0), "n_pulses_sent must be >= 0"),
+        (lambda: chernoff_bound(math.nan, 1e-10, "upper"), "count must be >= 0, got nan"),
+        (lambda: advantage_boundary(math.nan, [0.5]), "loss_db must be >= 0, got nan"),
+        (lambda: wcp_asymptotic_practical_rate(math.nan, _CHANNEL, _PROTO, _SEC),
+         "mu must be > 0, got nan"),
+        (lambda: wcp_distribution(math.nan), "mu must be >= 0, got nan"),
+    ],
+    ids=["TallySet", "chernoff_bound", "advantage_boundary", "wcp_asymptotic_practical_rate",
+         "wcp_distribution"],
+)
+def test_nan_argument_fails_the_range_check(call, message):
+    # Each check is written so that NaN fails it, rather than as `x < 0`,
+    # which NaN passes.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

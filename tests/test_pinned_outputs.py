@@ -43,6 +43,13 @@ def wcp_config(tmp_path) -> str:
     return str(path)
 
 
+def run_python(*args: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """``python args`` in a child that imports keyrates from ``SRC``."""
+    env = {**os.environ, **env_vars}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -86,6 +93,19 @@ def test_output_matches_pinned_text(tmp_path, capsys, argv, expected):
     paths = {"field": bundled_field_config(), "wcp": wcp_config(tmp_path)}
     assert run([arg.format(**paths) for arg in argv]) == 0
     assert_agrees(capsys.readouterr().out, (DATA / expected).read_text())
+
+
+def test_module_entry_point_prints_the_pinned_rate_and_exit_codes(tmp_path):
+    # `python -m keyrates.cli` goes through main() and sys.exit; the tests
+    # above call `run` in this process.
+    result = run_python("-m", "keyrates.cli", "rate", bundled_field_config())
+    assert result.returncode == 0, result.stderr
+    assert_agrees(result.stdout, (DATA / "field_rate.txt").read_text())
+    missing = tmp_path / "missing.cfg"
+    result = run_python("-m", "keyrates.cli", "rate", str(missing))
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot read {missing}: ")
 
 
 def test_agreement_check_catches_a_changed_digit():
@@ -168,11 +188,7 @@ print(*counts)
 
 def run_without_avx512(code: str, *args: str) -> subprocess.CompletedProcess:
     """``python -c code args`` in a child whose NumPy has AVX-512 dispatch off."""
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
-    )
+    return run_python("-c", code, *args, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
 
 
 @pytest.mark.parametrize(
