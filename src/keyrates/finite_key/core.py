@@ -1,15 +1,16 @@
 """Finite-key distillation for the three-state SPS protocol.
 
-The secure key length of a block of Z-basis detections is
+Both protocols' distillers end in one smooth-entropy key length,
 
-    L = N_z_floor * (1 - H(phi)) - lambda_EC
-        - 2 log2(1 / (2 eps_PA)) - log2(2 / eps_cor)
+    L = secret - lambda_EC - 2 log2(1 / (2 eps_PA)) - log2(2 / eps_cor)
 
-clamped at zero. ``N_z_floor`` subtracts a high-confidence cap on the
-number of multi-photon pulses from the observed Z detections, ``phi``
-is the X-basis error rate inflated by worst-case assignment of
-multi-photon detections and by statistical sampling deviations, and
-``lambda_EC = f_EC * N_z * H(E_z)`` models error-correction leakage.
+clamped at zero, with error-correction leakage ``lambda_EC = f_EC * N_z
+* H(E_z)`` on the Z block (``_key_report``). The SPS secret term is
+``N_z_floor * (1 - H(phi))``: ``N_z_floor`` subtracts a high-confidence
+cap on the number of multi-photon pulses from the observed Z
+detections, and ``phi`` is the X-basis error rate inflated by
+worst-case assignment of multi-photon detections and by statistical
+sampling deviations.
 
 Statistical deviations use multiplicative-Chernoff-style inversions:
 with ``beta = ln(1 / eps)``, an observed or expected count ``x`` is
@@ -58,8 +59,9 @@ class SecurityParams:
 
     ``eps_pe`` is the total parameter-estimation budget, split equally
     across the concentration-bound draws of whichever pipeline consumes
-    it. ``eps_pa``, ``eps_ec`` and ``eps_cor`` enter the key-length
-    formula directly. ``f_ec >= 1`` scales the Shannon limit of the
+    it. ``eps_pa`` and ``eps_cor`` enter the key-length formula
+    directly. ``eps_ec`` is validated but charged nowhere: no formula
+    reads it. ``f_ec >= 1`` scales the Shannon limit of the
     error-correction leakage.
     """
 
@@ -264,6 +266,24 @@ def chernoff_bound(x: float, eps: float, direction: str) -> float:
     return _chernoff(x, math.log(1.0 / eps), direction)
 
 
+def _key_report(secret, n_s, n_z, qber_z, mp_cap, secure, phase_error, sec, ops, asymptotic=False):
+    """The ``KeyReport`` of a Z block: ``secret``, the distiller's own term,
+    less the error-correction leakage of ``n_z`` detections at ``qber_z``
+    and, unless ``asymptotic``, the privacy-amplification and correctness
+    costs, clamped at zero. ``ops`` is the caller's namespace."""
+    lambda_ec = sec.f_ec * n_z * ops.entropy(qber_z)
+    if asymptotic:
+        pa_cost = correctness_cost = 0.0
+    else:
+        pa_cost = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+        correctness_cost = math.log2(2.0 / sec.eps_cor)
+    key_length = ops.maximum(0.0, secret - lambda_ec - pa_cost - correctness_cost)
+    # Positional: keywords cost a tenth of a float call.
+    return KeyReport(
+        key_length, key_length / n_s, n_s, mp_cap, secure, phase_error, lambda_ec, qber_z
+    )
+
+
 def sps_key_length(
     tallies: TallySet,
     source: SourceSpec,
@@ -316,13 +336,8 @@ def _sps_key_lengths(
     # twentieth of a float-path key length.
     numbers = (n_s, n_z, n_x, z_errors, x_errors, p2, q_z_tx)
     ops = _MATH if {*map(type, numbers)} <= _PYTHON_NUMBERS else _ops(*numbers)
-    if asymptotic:
-        # The infinite-block limit, eps = 1: every bound is the count itself.
-        beta = pa_cost = correctness_cost = 0.0
-    else:
-        beta = math.log(1.0 / (sec.eps_pe / SPS_CHERNOFF_USES))
-        pa_cost = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-        correctness_cost = math.log2(2.0 / sec.eps_cor)
+    # The infinite-block limit, eps = 1: every bound is the count itself.
+    beta = 0.0 if asymptotic else math.log(1.0 / (sec.eps_pe / SPS_CHERNOFF_USES))
 
     def upper(x):
         # An exactly-zero count or expectation stays zero, so degenerate
@@ -334,7 +349,6 @@ def _sps_key_lengths(
     insufficient = (n_z_floor <= 0.0) & (mp_cap_z > 0.0)
     n_z_floor = ops.maximum(n_z_floor, 0.0)
     qber_z = ops.where(n_z > 0, z_errors / n_z, 0.0)
-    lambda_ec = sec.f_ec * n_z * ops.entropy(qber_z)
     # Phase error: keep every observed X error, remove only the assumed
     # multi-photon share of the X sample, then charge the statistical
     # transfer onto the Z block. Without an X sample to estimate from, or
@@ -348,16 +362,10 @@ def _sps_key_lengths(
         0.5,
         phi_x if asymptotic else ops.minimum(0.5, upper(n_z_floor * phi_x) / n_z_floor),
     )
-    key_length = ops.maximum(
-        0.0,
-        n_z_floor * (1.0 - ops.entropy(phase_error))
-        - lambda_ec
-        - pa_cost
-        - correctness_cost,
+    secret = n_z_floor * (1.0 - ops.entropy(phase_error))
+    report = _key_report(
+        secret, n_s, n_z, qber_z, mp_cap_z, n_z_floor, phase_error, sec, ops, asymptotic
     )
-    rate = key_length / n_s
-    # Positional: keywords cost a tenth of a float call.
-    report = KeyReport(key_length, rate, n_s, mp_cap_z, n_z_floor, phase_error, lambda_ec, qber_z)
     return report, insufficient
 
 

@@ -2,10 +2,10 @@
 
 Three intensities (signal, weak decoy, vacuum) bound the vacuum and
 single-photon contributions of a Poissonian transmitter. The secure
-length mirrors the standard two-decoy analysis,
+length is the key length of :mod:`keyrates.finite_key.core` with the
+secret term of the standard two-decoy analysis,
 
-    L = s_z0 + s_z1 * (1 - H(phi_1)) - lambda_EC
-        - 2 log2(1 / (2 eps_PA)) - log2(2 / eps_cor),
+    s_z0 + s_z1 * (1 - H(phi_1)),
 
 with the single-photon Z yield bounded from signal and decoy gains plus
 the vacuum yield, the single-photon phase error bounded by the decoy
@@ -32,6 +32,7 @@ from .core import (
     SecurityParams,
     _chernoff,
     _float_or_numpy,
+    _key_report,
     _ops,
     _protocol_valid,
     binary_entropy,
@@ -216,26 +217,9 @@ def _wcp_key_lengths(
         sampled, ops.minimum(0.5, phi + ops.where(corrected, correction, 0.0)), 0.5
     )
 
-    qber_z = sum(m_zk) / n_z
-    lambda_ec = sec.f_ec * n_z * ops.entropy(qber_z)
-    key_length = ops.maximum(
-        0.0,
-        s_z0
-        + s_z1 * (1.0 - ops.entropy(phase_error))
-        - lambda_ec
-        - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-        - math.log2(2.0 / sec.eps_cor),
-    )
-    report = KeyReport(
-        key_length,
-        key_length / n_s,
-        n_s,
-        n_z - s_z0 - s_z1,  # multi-photon cap
-        s_z0 + s_z1,  # secure detections
-        phase_error,
-        lambda_ec,
-        qber_z,
-    )
+    secret = s_z0 + s_z1 * (1.0 - ops.entropy(phase_error))
+    mp_cap, secure = n_z - s_z0 - s_z1, s_z0 + s_z1
+    report = _key_report(secret, n_s, n_z, sum(m_zk) / n_z, mp_cap, secure, phase_error, sec, ops)
     return report, no_gain, infeasible, corrected & (log_arg < 1.0)
 
 

@@ -105,9 +105,15 @@ def _draw_tallies(
 
 
 def simulate_trial(spec: TrialSpec, rng: np.random.Generator | None = None) -> TallySet:
-    """One stochastic realisation of the experiment's tallies."""
+    """One stochastic realisation of the experiment's tallies.
+
+    Without ``rng`` it draws repetition 0's tallies, from child 0 of the
+    trial seed's ``SeedSequence``, as ``iter_trials`` does.
+    """
     if rng is None:
-        rng = np.random.default_rng(spec.seed)
+        from .seeding import spawned_generators  # imports numpy.random
+
+        rng = next(spawned_generators(spec.seed, 1))
     counts = _sift_counts(spec)[0]
     return TallySet(counts[2], *_draw_tallies(counts, rng))
 

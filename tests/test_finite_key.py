@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyrates.channel import ChannelDetectorModel, link_transmittance
+from keyrates.cli import bundled_field_config, load_config
 from keyrates.finite_key.comparison import Q_TX_GRID
 from keyrates.finite_key.core import (
     SPS_CHERNOFF_USES,
@@ -25,7 +26,7 @@ from keyrates.finite_key.core import (
     sps_expected_rate,
     sps_key_length,
 )
-from keyrates.finite_key.wcp import WCP_CONCENTRATION_USES
+from keyrates.finite_key.wcp import WCP_CONCENTRATION_USES, WcpIntensities, wcp_finite_key_rate
 from keyrates.photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
@@ -316,6 +317,29 @@ class TestEpsilonBudget:
         )
         # Table partition: eleven draws at (1e-10)/12 each.
         assert per_use == pytest.approx(1e-10 / 12.0, rel=1e-9)
+
+    @pytest.mark.parametrize("loss_db", [0.0, 7.0, 14.6])
+    @pytest.mark.parametrize("eps_pa, eps_cor", [(1e-6, 1e-3), (1e-40, 1e-60)])
+    def test_both_distillers_charge_the_same_fixed_costs(self, loss_db, eps_pa, eps_cor):
+        # With eps_pe fixed, eps_pa and eps_cor move each side's key length
+        # by exactly the change in the fixed costs, and leave the leakage.
+        config = load_config(bundled_field_config())
+        channel = replace(config.channel, channel_loss_db=loss_db)
+        moved = replace(config.sec, eps_pa=eps_pa, eps_cor=eps_cor)
+
+        def fixed_costs(sec):
+            return 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa)) + math.log2(2.0 / sec.eps_cor)
+
+        intensities = WcpIntensities(0.5, 0.15, 0.7, 0.2)
+        for distil in (
+            lambda sec: sps_expected_rate(config.source, channel, config.proto, sec),
+            lambda sec: wcp_finite_key_rate(intensities, channel, config.proto, sec),
+        ):
+            before, after = distil(config.sec), distil(moved)
+            assert min(before.key_length, after.key_length) > 0.0
+            assert after.lambda_ec == before.lambda_ec
+            shift = fixed_costs(config.sec) - fixed_costs(moved)
+            assert abs(after.key_length - before.key_length - shift) <= 1e-6
 
 
 @settings(max_examples=60, deadline=None)

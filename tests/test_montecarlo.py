@@ -45,6 +45,13 @@ class TestSimulateTrial:
         second = simulate_trial(FIELD_SPEC)
         assert first == second
 
+    @pytest.mark.parametrize("seed", [1234, 7])
+    def test_default_stream_is_repetition_zero(self, seed):
+        # Repetition i draws from child i of SeedSequence(seed), also
+        # when simulate_trial picks its own generator.
+        spec = replace(FIELD_SPEC, seed=seed, repetitions=3)
+        assert simulate_trial(spec) == next(iter_trials(spec))[0]
+
     def test_dark_count_limit(self):
         # A source a dozen orders dimmer than the dark counts: detections
         # are dark counts alone and half of them are errors.
