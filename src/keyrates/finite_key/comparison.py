@@ -20,7 +20,7 @@ import numpy as np
 from ..asymptotic import BoundaryCurve, EmptyCurve
 from ..channel import ChannelDetectorModel
 from ..photon_source import SourceKind, SourceSpec
-from .core import ProtocolConfig, SecurityParams, _MATH, _ops, _sps_lanes
+from .core import ProtocolConfig, SecurityParams, _MATH, _ops, _protocol_valid, _sps_lanes
 from .wcp import (
     DecoyInfeasible,
     WcpIntensities,
@@ -30,6 +30,8 @@ from .wcp import (
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Most lane values per objective call of a golden search; such a call is mostly overhead.
+_GOLDEN_BUDGET = 512
 
 # Transmitter basis-ratio candidates shared by both technologies.
 Q_TX_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
@@ -86,29 +88,67 @@ def advantage_db(r_sps: float, r_wcp: float) -> float:
     return math.inf if r_sps > r_wcp else -math.inf
 
 
+def _golden_step(where, left, a, b, c, d):
+    """One golden step: the new bracket ``(a, b)``, its probe, and the new ``(c, d)``."""
+    a, b = where(left, a, c), where(left, d, b)
+    x = where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+    return a, b, x, where(left, x, d), where(left, c, x)
+
+
+def _golden_heap(steps, left, a, b, c, d):
+    """The ``2**steps - 1`` probes of each lane's next ``steps`` golden steps, in heap order.
+
+    The probe after node i is node 2i + 2 where i's score leaves ``fc >= fd``, else 2i + 1.
+    """
+    left, probes = left[None], []
+    for level in range(steps):
+        if level:  # both children of a node start from its state
+            a, b, c, d = (np.repeat(s, 2, axis=0) for s in (a, b, c, d))
+            left = np.resize([False, True], (2**level,) + (1,) * (a.ndim - 1))
+        a, b, x, c, d = _golden_step(np.where, left, a, b, c, d)
+        probes.append(x)
+    return np.concatenate(probes)
+
+
 def _golden_max(f, lo, hi, iterations: int = 30):
     """Deterministic golden-section maximiser for a unimodal objective.
 
     ``f`` maps a float to its value, or an array of points to their
     values in independent lanes searched in lockstep; the bounds ``lo``
     and ``hi`` are then shared or per lane. Each lane takes the same
-    branches and returns the same point as a float search of that lane
-    alone. Returns the point only, after ``iterations + 2`` calls of
-    ``f``; a caller that needs its value scores it once.
+    branches, scores the same points and returns the same point as a
+    float search of that lane alone. Returns the point only; a caller
+    that needs its value scores it once.
+
+    On floats, and on no lanes or more lane values than a third of
+    ``_GOLDEN_BUDGET``, each step is one call of ``f``: ``iterations + 2``
+    calls. Otherwise one call scores the ``_golden_heap`` of the most
+    steps whose probes fit the budget; ``f`` must score each stacked row
+    as it scores that row alone.
     """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     where = np.where if isinstance(fc, np.ndarray) else _MATH.where
-    for _ in range(iterations):
-        left = fc >= fd
-        a = where(left, a, c)
-        b = where(left, d, b)
-        x = where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fx = f(x)
-        c, d = where(left, x, d), where(left, c, x)
-        fc, fd = where(left, fx, fd), where(left, fc, fx)
+    size = fc.size if where is np.where else 0
+    depth = max(1, (_GOLDEN_BUDGET // size + 1).bit_length() - 1) if size else 1
+    if depth == 1:
+        for _ in range(iterations):
+            left = fc >= fd
+            a, b, x, c, d = _golden_step(where, left, a, b, c, d)
+            fx = f(x)
+            fc, fd = where(left, fx, fd), where(left, fc, fx)
+        return 0.5 * (a + b)
+    for done in range(0, iterations, depth):
+        steps = min(depth, iterations - done)
+        scores, node = f(_golden_heap(steps, fc >= fd, a, b, c, d)), np.zeros(fc.shape, int)
+        for _ in range(steps):  # each lane's path through the heap
+            left = fc >= fd
+            a, b, x, c, d = _golden_step(np.where, left, a, b, c, d)
+            fx = np.take_along_axis(scores, node[None], 0)[0]
+            fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+            node = 2 * node + 1 + (fc >= fd)
     return 0.5 * (a + b)
 
 
@@ -145,7 +185,9 @@ def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, .
     ``_sps_lanes``, then the unattenuated point when it scores at least
     as well, then the first best candidate, whose lane score is ``rate``.
     The golden point and the unattenuated one are two rows of one call,
-    so a call of this function makes 33 ``_sps_lanes`` calls.
+    so a call of this function makes 33 ``_sps_lanes`` calls where it
+    tunes over 170 (lane, candidate) pairs, and fewer below: 8 for one
+    lane, whose search scores 6 golden steps per call (``_golden_max``).
 
     ``rate`` is the rate every SPS tuner reports and decides by. It is
     ``sps_expected_rate`` at the lane's point, 0 where that raises: bit
@@ -199,11 +241,13 @@ def _wcp_rate_or_zero(
 ) -> float:
     """Scalar WCP rate at a tuner point, 0 where the pipeline rejects it.
 
-    Takes its point in the order of the ``_wcp_lanes`` scorer.
+    Takes its point in the order of the ``_wcp_lanes`` scorer. ``proto``
+    is used as it is where its ``q_z_tx`` is ``q_tx``.
     """
-    cfg = replace(proto, q_z_tx=q_tx)
-    if not _wcp_valid(mu_s, mu_d, p_s, p_d):
+    rest = (proto.q_z_rx, proto.block_size, proto.pre_attenuation)
+    if not (_wcp_valid(mu_s, mu_d, p_s, p_d) and _protocol_valid(q_tx, *rest)):
         return 0.0
+    cfg = proto if proto.q_z_tx == q_tx else replace(proto, q_z_tx=q_tx)
     try:
         ints = WcpIntensities(mu_s, mu_d, p_s, p_d)
         return wcp_finite_key_rate(ints, channel, cfg, sec, concentration).rate_per_pulse
@@ -272,9 +316,10 @@ def _tune_wcp(
     Each loss scores the seed grid in its own ``_wcp_lanes`` call, which
     keeps one grid in memory at a time. The refinement then runs for
     every loss in lockstep, and each lane's winner is scored again by
-    the float path. Returns one ``(rate, intensities, q_z_tx)`` per
-    loss, each exactly as ``optimized_wcp_rate`` returns it for that
-    loss alone.
+    the float path. Its 8 golden searches make 22 lane calls each for
+    over 170 losses, and 7 for 32 (``_golden_max``). Returns one
+    ``(rate, intensities, q_z_tx)`` per loss, each exactly as
+    ``optimized_wcp_rate`` returns it for that loss alone.
     """
     proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
     losses = np.asarray(loss_db, dtype=float)
@@ -309,13 +354,14 @@ def optimized_wcp_rate(
     ``_tune_wcp`` runs the same refinement for many losses at once.
     """
     proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
+    q_tx, *seed = _wcp_seed(channel.channel_loss_db, channel, proto, sec, concentration)
+    cfg = replace(proto, q_z_tx=q_tx)
 
     def score(*point) -> float:
-        return _wcp_rate_or_zero(*point, channel, proto, sec, concentration)
+        return _wcp_rate_or_zero(*point, channel, cfg, sec, concentration)
 
-    q_tx, *seed = _wcp_seed(channel.channel_loss_db, channel, proto, sec, concentration)
     point = _refine_wcp(score, q_tx, *seed)
-    return score(*point, q_tx), WcpIntensities(*point), replace(proto, q_z_tx=q_tx)
+    return score(*point, q_tx), WcpIntensities(*point), cfg
 
 
 def compare(

@@ -39,6 +39,7 @@ from keyrates.finite_key.core import (
 )
 from keyrates.finite_key.wcp import (
     WcpIntensities,
+    _wcp_lanes,
     wcp_asymptotic_practical_rate,
     wcp_finite_key_rate,
 )
@@ -195,10 +196,23 @@ def _assert_valid_wcp_points(points):
         assert np.all((0.0 < p_d) & (p_d < 1.0 - p_s))
 
 
+@pytest.mark.parametrize("q_z_tx", [0.0, 0.9, 1.0, 1.5])
+def test_float_and_lane_wcp_scorers_agree_on_any_basis_ratio(q_z_tx):
+    # Both give 0 where ProtocolConfig rejects q_z_tx, and the same rate inside.
+    proto = replace(FIELD_PROTO, q_z_rx=WCP_RECEIVER_Z_RATIO)
+    point = (0.5, 0.15, 0.7, 0.2, q_z_tx)
+    lanes = _wcp_lanes(FIELD_CHANNEL.channel_loss_db, FIELD_CHANNEL, proto, FIELD_SEC, "hoeffding")
+    rate = comparison._wcp_rate_or_zero(*point, FIELD_CHANNEL, proto, FIELD_SEC, "hoeffding")
+    assert rate == lanes(*point)
+    assert (rate > 0.0) == (0.0 < q_z_tx < 1.0)
+
+
 class TestWcpEvaluationCounts:
     """The WCP tuners' evaluation counts, pinned: they do not depend on the
     machine. A refinement makes 2 passes of 4 golden searches of 20
-    iterations, 176 scores; the tuned point is scored once more on floats."""
+    iterations. On floats that is 176 scores. On 32 lanes one scorer call
+    holds 4 steps' 15 probes per lane, so a search makes 2 + 5 calls and
+    the refinement 56. The tuned point is scored once more on floats."""
 
     def _counts(self, points):
         return len(points["lanes"]), len(points["float"])
@@ -208,7 +222,7 @@ class TestWcpEvaluationCounts:
         losses = [FIELD_CHANNEL.channel_loss_db, *map(float, range(31))]
         with _scored_wcp_points() as points:
             _tune_wcp(losses, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
-        assert self._counts(points) == (208, 32)
+        assert self._counts(points) == (88, 32)
 
     def test_optimized_wcp_rate(self):
         with _scored_wcp_points() as points:
@@ -219,7 +233,7 @@ class TestWcpEvaluationCounts:
         # The 32-loss sweep, then one optimized_wcp_rate per crossover probe.
         with _scored_wcp_points() as points:
             assert run(["compare", bundled_field_config()]) == 0
-        assert self._counts(points) == (213, 917)
+        assert self._counts(points) == (93, 917)
 
 
 def _single_loss_wcp(channel, proto, losses, concentration):
@@ -297,7 +311,10 @@ def test_golden_lanes_with_per_lane_bounds_match_single_searches():
 @pytest.mark.parametrize("iterations", [None, 0, 1, 20])
 @pytest.mark.parametrize("lanes", [False, True])
 def test_golden_max_scores_two_starting_points_and_one_per_iteration(lanes, iterations):
-    # The returned point itself is not scored: a caller that needs its value scores it.
+    # The returned point itself is not scored: a caller that needs its value
+    # scores it. On floats each iteration is one call. Three lanes fit the
+    # probes of 7 steps (127 per lane) in one call of the 512-value budget,
+    # so 30 iterations take 7 + 7 + 7 + 7 + 2 steps and 20 take 7 + 7 + 6.
     calls = []
 
     def f(x):
@@ -307,8 +324,67 @@ def test_golden_max_scores_two_starting_points_and_one_per_iteration(lanes, iter
     lo, hi = (np.zeros(3), np.ones(3)) if lanes else (0.0, 1.0)
     args = () if iterations is None else (iterations,)
     best = _golden_max(f, lo, hi, *args)
-    assert len(calls) == (30 if iterations is None else iterations) + 2
+    expected = {None: 7, 0: 2, 1: 3, 20: 5} if lanes else {None: 32, 0: 2, 1: 3, 20: 22}
+    assert len(calls) == expected[iterations]
     assert isinstance(best, np.ndarray) == lanes
+
+
+def _on_path(calls, lane, probes):
+    """Lane ``lane``'s probes in a golden search's ``calls`` of ``f``.
+
+    A call of one row gives one probe. A stacked call gives the heap
+    path that follows ``probes``, the float search's sequence: from the
+    root, the child whose probe is the next one expected (the left child
+    where neither is).
+    """
+    path = []
+    for x in calls:
+        column = x[..., lane]
+        if column.ndim == 0:
+            path.append(column)
+            continue
+        node = 0
+        while node < column.size:
+            path.append(column[node])
+            expected = probes[len(path)] if len(path) < len(probes) else None
+            node = 2 * node + 1 + (2 * node + 2 < column.size and column[2 * node + 2] == expected)
+    return [float(x) for x in path]
+
+
+# A lane: lower bound, bracket width (0 is a point), peak, and a cap whose
+# plateau makes ``fc == fd`` ties that take the ``fc >= fd`` branch.
+_GOLDEN_LANE = st.tuples(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=3.0),
+    st.one_of(st.just(np.inf), st.floats(min_value=-1.0, max_value=0.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_GOLDEN_LANE, max_size=64), st.integers(min_value=0, max_value=30))
+def test_golden_lanes_take_each_float_search_path(lanes, iterations):
+    # Lanes at any count, however many steps one call of f speculates,
+    # score the float search's probes in its order and return its point.
+    lo, width, peak, cap = np.array(lanes, dtype=float).reshape(-1, 4).T
+    hi = lo + width
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.minimum(-((x - peak) * (x - peak)), cap)
+
+    best = _golden_max(f, lo, hi, iterations)
+    assert best.shape == lo.shape
+    for i in range(lo.size):
+        probes = []
+
+        def alone(x):
+            probes.append(x)
+            return min(-((x - peak[i]) * (x - peak[i])), cap[i])
+
+        assert best[i] == _golden_max(alone, float(lo[i]), float(hi[i]), iterations)
+        assert _on_path(calls, i, probes) == probes
 
 
 # A finite-boundary lane: <n> down to the g2 = 0 endpoint's 1e-4 and up
@@ -642,14 +718,26 @@ class TestSweep:
     def test_cli_sweep_work_counts(self, monkeypatch, capsys):
         # The SPS side tunes all 31 losses in one arg-max call; the WCP side
         # scores its seed grid once per loss, then refines every loss in
-        # one lockstep of 176 lane calls. Each WCP winner is scored once on
-        # floats; the SPS side reports the arg-max's lane rates.
+        # one lockstep of 56 lane calls, 4 golden steps per call. Each WCP
+        # winner is scored once on floats; the SPS side reports the
+        # arg-max's lane rates.
         counts = _counted_sps_work(monkeypatch)
         losses = ["--loss-min", "0", "--loss-max", "30", "--steps", "31"]
         with _scored_wcp_points() as points:
             assert run(["sweep", bundled_field_config(), *losses]) == 0
         assert counts == {"tuner": 1, "kernel": 33}
-        assert (len(points["lanes"]), len(points["float"])) == (207, 31)
+        assert (len(points["lanes"]), len(points["float"])) == (87, 31)
+
+    def test_cli_sweep_of_300_losses_speculates_no_probes(self, monkeypatch, capsys):
+        # 300 lanes are more than a third of the golden budget, so every
+        # golden step of either side is one kernel call: 2 + 30 per SPS
+        # search, and on the WCP side 300 seed-grid calls + 8 * 22 = 476.
+        counts = _counted_sps_work(monkeypatch)
+        losses = ["--loss-min", "0", "--loss-max", "40", "--steps", "300"]
+        with _scored_wcp_points() as points:
+            assert run(["sweep", bundled_field_config(), *losses]) == 0
+        assert counts == {"tuner": 1, "kernel": 33}
+        assert (len(points["lanes"]), len(points["float"])) == (476, 300)
 
 
 class TestFiniteBoundary:
@@ -687,11 +775,14 @@ class TestFiniteBoundary:
 
     def test_cli_boundary_work_counts(self, monkeypatch, capsys):
         # One screening call, then one per three of the 40 bisection levels
-        # (the last takes one); each makes 33 kernel calls. Every decision
-        # reads the arg-max's lane rate, so nothing is re-scored on floats.
+        # (the last takes one). Each makes 33 kernel calls but the last,
+        # whose one probe per lane is few enough values for 2 golden steps
+        # per kernel call: 2 + 15 + 1 calls, 14 * 33 + 18 = 480 in all.
+        # Every decision reads the arg-max's lane rate, so nothing is
+        # re-scored on floats.
         counts = _counted_sps_work(monkeypatch)
         assert run(["boundary", bundled_field_config(), "--mode", "finite", "--loss", "0"]) == 0
-        assert counts == {"tuner": 15, "kernel": 495}
+        assert counts == {"tuner": 15, "kernel": 480}
 
     def test_cli_boundary_stops_once_no_lane_is_bisected(self, monkeypatch, capsys):
         # At 80 dB every lane matches at its top: the screening call is the only one.

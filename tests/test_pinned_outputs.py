@@ -196,6 +196,10 @@ def run_without_avx512(code: str, *args: str) -> subprocess.CompletedProcess:
     [
         (["boundary", "{field}", "--mode", "finite", "--loss", "0"], "field_boundary_finite_0.csv"),
         (["compare", "{field}"], "field_compare.txt"),
+        (
+            ["sweep", "{field}", "--loss-min", "0", "--loss-max", "30", "--steps", "31"],
+            "field_sweep_0_30_31.csv",
+        ),
     ],
 )
 def test_output_matches_pinned_text_without_avx512_dispatch(argv, expected):
