@@ -19,17 +19,8 @@ import numpy as np
 
 from ..asymptotic import BoundaryCurve, EmptyCurve
 from ..channel import ChannelDetectorModel
-from ..photon_source import NonPhysicalSource, SourceKind, SourceSpec, UndefinedG2
-from .core import (
-    InsufficientBlock,
-    ProtocolConfig,
-    SecurityParams,
-    _MATH,
-    _ops,
-    _protocol_valid,
-    _sps_lanes,
-    sps_expected_rate,
-)
+from ..photon_source import SourceKind, SourceSpec
+from .core import ProtocolConfig, SecurityParams, _MATH, _ops, _protocol_valid, _sps_lanes
 from .wcp import (
     DecoyInfeasible,
     WcpIntensities,
@@ -198,11 +189,10 @@ def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, .
     tunes over 170 (lane, candidate) pairs, and fewer below: 8 for one
     lane, whose search scores 6 golden steps per call (``_golden_max``).
 
-    ``rate`` is the rate the lane tuners report and decide by. It is
+    ``rate`` is the rate every SPS tuner reports and decides by. It is
     ``sps_expected_rate`` at the lane's point, 0 where that raises: bit
-    for bit where NumPy's ``exp`` and ``log`` round as libm's do. Where
-    its AVX-512 loops round otherwise, the key length moves by a few
-    ulps of the leakage it subtracts: 1.9e-15 of the rate at <n> = 1e-4.
+    for bit where NumPy's ``exp`` and ``log`` round as libm's do, and
+    within a few ulps where its AVX-512 loops round otherwise.
     """
     n_mean, g2, loss_db = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (n_mean, g2, loss_db))
@@ -238,18 +228,12 @@ def optimized_sps_rate(
 
     Returns the rate and the protocol configuration that achieves it.
     Infeasible corners (multi-photon cap swallowing the block) score
-    zero rather than raising. One lane of ``_sps_argmax`` chooses the
-    point; its rate is ``sps_expected_rate`` there. The lane rate can
-    differ in the last bits of the entropy's ``log2``, and the key
-    length's cancellation magnifies that where the rate is small.
+    zero rather than raising. One lane of ``_sps_argmax``, whose lane
+    rate it returns.
     """
     n_mean, g2 = _sps_parameters(source)
-    q_tx, t, _ = _sps_argmax(n_mean, g2, channel.channel_loss_db, channel, proto, sec)
-    tuned = replace(proto, q_z_tx=float(q_tx), pre_attenuation=float(t))
-    try:
-        return sps_expected_rate(source, channel, tuned, sec).rate_per_pulse, tuned
-    except (InsufficientBlock, NonPhysicalSource, UndefinedG2):
-        return 0.0, tuned
+    q_tx, t, rate = _sps_argmax(n_mean, g2, channel.channel_loss_db, channel, proto, sec)
+    return float(rate), replace(proto, q_z_tx=float(q_tx), pre_attenuation=float(t))
 
 
 def _wcp_rate_or_zero(

