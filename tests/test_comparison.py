@@ -729,7 +729,7 @@ class TestSweep:
         assert (len(points["lanes"]), len(points["float"])) == (87, 31)
 
     def test_cli_sweep_of_300_losses_speculates_no_probes(self, monkeypatch, capsys):
-        # 300 lanes are more than a third of the golden budget, so every
+        # 300 lanes are more than a seventh of the golden budget, so every
         # golden step of either side is one kernel call: 2 + 30 per SPS
         # search, and on the WCP side 300 seed-grid calls + 8 * 22 = 476.
         counts = _counted_sps_work(monkeypatch)
@@ -775,14 +775,14 @@ class TestFiniteBoundary:
 
     def test_cli_boundary_work_counts(self, monkeypatch, capsys):
         # One screening call, then one per three of the 40 bisection levels
-        # (the last takes one). Each makes 33 kernel calls but the last,
-        # whose one probe per lane is few enough values for 2 golden steps
-        # per kernel call: 2 + 15 + 1 calls, 14 * 33 + 18 = 480 in all.
+        # (the last takes one). Each makes 33 kernel calls, the last too:
+        # its 133 values fit only 2 golden steps in the budget, too few to
+        # speculate, so 15 * 33 = 495 in all.
         # Every decision reads the arg-max's lane rate, so nothing is
         # re-scored on floats.
         counts = _counted_sps_work(monkeypatch)
         assert run(["boundary", bundled_field_config(), "--mode", "finite", "--loss", "0"]) == 0
-        assert counts == {"tuner": 15, "kernel": 480}
+        assert counts == {"tuner": 15, "kernel": 495}
 
     def test_cli_boundary_stops_once_no_lane_is_bisected(self, monkeypatch, capsys):
         # At 80 dB every lane matches at its top: the screening call is the only one.
