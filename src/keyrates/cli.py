@@ -204,7 +204,7 @@ def bundled_field_config() -> str:
 
 
 def _emit(lines: Iterable[str], output: str | None) -> None:
-    """Write one line per entry, without joining them into one string."""
+    """Write each entry and a newline, without joining the entries into one string."""
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
@@ -359,13 +359,13 @@ _SIMULATE_BLOCK = 4096
 
 
 def _simulate_lines(seed: int, draws: np.ndarray, key_length: np.ndarray, rate: np.ndarray):
-    """``simulate``'s CSV lines, formatted from column lists one block of
-    trials at a time, so no Python copy of every trial is held."""
+    """``simulate``'s CSV lines, one block of trials per entry, formatted
+    from column lists, so no Python copy of every trial is held."""
     yield "seed,n_z,m_z,n_x,m_x,key_length,rate"
     for start in range(0, len(draws), _SIMULATE_BLOCK):
         block = slice(start, start + _SIMULATE_BLOCK)
         n_z, n_x, m_z, m_x = draws[block].T.tolist()
-        columns = zip(
+        rows = zip(
             range(seed + start, seed + start + len(n_z)),
             n_z,
             m_z,
@@ -374,8 +374,7 @@ def _simulate_lines(seed: int, draws: np.ndarray, key_length: np.ndarray, rate: 
             key_length[block].tolist(),
             rate[block].tolist(),
         )
-        for trial_seed, nz, mz, nx, mx, key, r in columns:
-            yield f"{trial_seed},{nz},{mz},{nx},{mx},{key:.9e},{r:.9e}"
+        yield "\n".join(["%d,%d,%d,%d,%d,%.9e,%.9e" % row for row in rows])
 
 
 def _cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:

@@ -91,23 +91,29 @@ def advantage_db(r_sps: float, r_wcp: float) -> float:
 def _golden_step(where, left, a, b, c, d):
     """One golden step: the new bracket ``(a, b)``, its probe, and the new ``(c, d)``."""
     a, b = where(left, a, c), where(left, d, b)
-    x = where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+    g = GOLDEN * (b - a)
+    x = where(left, b - g, a + g)
     return a, b, x, where(left, x, d), where(left, c, x)
 
 
 def _golden_heap(steps, left, a, b, c, d):
-    """The ``2**steps - 1`` probes of each lane's next ``steps`` golden steps, in heap order.
+    """The ``(a, b, x, c, d)`` that each of the next ``steps`` golden steps leaves, in heap order.
 
-    The probe after node i is node 2i + 2 where i's score leaves ``fc >= fd``, else 2i + 1.
+    Returns shape ``(5, 2**steps - 1, *left.shape)``; row 2 holds the
+    probes. Node 0 is the step that ``left`` takes; node i's children
+    are 2i + 1, the step where its score leaves ``fc < fd``, and 2i + 2.
+    A child is built from its parent's state with ``_golden_step``'s
+    float operations.
     """
-    left, probes = left[None], []
-    for level in range(steps):
-        if level:  # both children of a node start from its state
-            a, b, c, d = (np.repeat(s, 2, axis=0) for s in (a, b, c, d))
-            left = np.resize([False, True], (2**level,) + (1,) * (a.ndim - 1))
-        a, b, x, c, d = _golden_step(np.where, left, a, b, c, d)
-        probes.append(x)
-    return np.concatenate(probes)
+    heap = np.empty((5, 2**steps - 1, *left.shape))
+    heap[:, 0] = _golden_step(np.where, left, a, b, c, d)
+    for level in range(steps - 1):
+        first, last = 2**level - 1, 2 ** (level + 1) - 1  # the level's nodes
+        a, b, _, c, d = heap[:, first:last]
+        low, high = c + GOLDEN * (b - c), d - GOLDEN * (d - a)
+        heap[:, 2 * first + 1 : 2 * last : 2] = c, b, low, d, low
+        heap[:, 2 * first + 2 : 2 * last + 1 : 2] = a, d, high, high, c
+    return heap
 
 
 def _golden_max(f, lo, hi, iterations: int = 30):
@@ -124,7 +130,9 @@ def _golden_max(f, lo, hi, iterations: int = 30):
     ``_GOLDEN_BUDGET``, each step is one call of ``f``: ``iterations + 2``
     calls. Otherwise one call scores the ``_golden_heap`` of the most
     steps, three or more, whose probes fit the budget; ``f`` must score
-    each stacked row as it scores that row alone.
+    each stacked row as it scores that row alone. Each lane then walks
+    its path through the scored heap by index, and takes its bracket
+    from the heap at the path's end.
     """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
@@ -140,15 +148,19 @@ def _golden_max(f, lo, hi, iterations: int = 30):
             fx = f(x)
             fc, fd = where(left, fx, fd), where(left, fc, fx)
         return 0.5 * (a + b)
+    # Each lane value's flat index, to read its node's score and state.
+    lane, left = np.arange(size).reshape(fc.shape), fc >= fd
     for done in range(0, iterations, depth):
         steps = min(depth, iterations - done)
-        scores, node = f(_golden_heap(steps, fc >= fd, a, b, c, d)), np.zeros(fc.shape, int)
-        for _ in range(steps):  # each lane's path through the heap
-            left = fc >= fd
-            a, b, x, c, d = _golden_step(np.where, left, a, b, c, d)
-            fx = np.take_along_axis(scores, node[None], 0)[0]
+        heap = _golden_heap(steps, left, a, b, c, d)
+        scores, node = f(heap[2]).reshape(-1, size), np.zeros_like(lane)
+        for level in range(steps):  # each lane's path through the heap
+            if level:
+                node = 2 * node + 1 + left
+            fx = scores[node, lane]
             fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-            node = 2 * node + 1 + (fc >= fd)
+            left = fc >= fd
+        a, b, _, c, d = heap.reshape(5, -1, size)[:, node, lane]
     return 0.5 * (a + b)
 
 
@@ -318,8 +330,12 @@ def _tune_wcp(
     every loss in lockstep, and each lane's winner is scored again by
     the float path. Its 8 golden searches make 22 lane calls each for
     over 73 losses, and 7 for 32 (``_golden_max``). Returns one
-    ``(rate, intensities, q_z_tx)`` per loss, each exactly as
-    ``optimized_wcp_rate`` returns it for that loss alone.
+    ``(rate, intensities, q_z_tx)`` per loss, each as
+    ``optimized_wcp_rate`` returns it for that loss alone: bit for bit
+    where NumPy's ``exp`` and ``log`` round as libm's do. Where its
+    AVX-512 loops round otherwise, a lane score can differ from the
+    float score by enough to send a golden search the other way, and
+    then the tuned point and its rate differ too.
     """
     proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)
     losses = np.asarray(loss_db, dtype=float)

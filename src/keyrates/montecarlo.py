@@ -16,6 +16,7 @@ arithmetic (``seeding``) instead of one ``SeedSequence`` per repetition.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -132,9 +133,9 @@ def _trial_arrays(spec: TrialSpec) -> tuple[float, np.ndarray, np.ndarray, np.nd
 
     counts, launched = _sift_counts(spec)
     n_s = counts[2]
-    draws = np.empty((spec.repetitions, 4), dtype=np.int64)
-    for row, rng in zip(draws, spawned_generators(spec.seed, spec.repetitions)):
-        row[:] = _draw_tallies(counts, rng)
+    rngs = spawned_generators(spec.seed, spec.repetitions)
+    tallies = itertools.chain.from_iterable(_draw_tallies(counts, rng) for rng in rngs)
+    draws = np.fromiter(tallies, np.int64, 4 * spec.repetitions).reshape(-1, 4)
 
     n_z, n_x, m_z, m_x = draws.T
     mean = launched.mean_photon_number

@@ -329,6 +329,47 @@ def test_golden_max_scores_two_starting_points_and_one_per_iteration(lanes, iter
     assert isinstance(best, np.ndarray) == lanes
 
 
+class _CountedNumpy:
+    """NumPy as a module sees it through ``np``, counting each function called."""
+
+    def __init__(self):
+        self.calls, self._wrappers = {}, {}
+
+    def __getattr__(self, name):
+        value = getattr(np, name)
+        if isinstance(value, type) or not callable(value):
+            return value
+        if name not in self._wrappers:  # one wrapper per name keeps ``is`` checks true
+
+            def counted(*args, **kwargs):
+                self.calls[name] = self.calls.get(name, 0) + 1
+                return value(*args, **kwargs)
+
+            self._wrappers[name] = counted
+        return self._wrappers[name]
+
+
+def test_speculative_golden_search_numpy_call_counts(monkeypatch):
+    # A work pin that no host changes: the NumPy functions that one
+    # search of 32 lanes over 20 iterations calls outside f, in 5 calls
+    # of f that score 4 steps each; array operators are not counted. A
+    # version that built each heap level with np.repeat and re-ran the
+    # golden step along each lane's path made 345 such calls (240 where,
+    # 60 repeat, 15 resize, 20 take_along_axis, 5 concatenate, 5 zeros).
+    counted = _CountedNumpy()
+    monkeypatch.setattr(comparison, "np", counted)
+    peak = np.linspace(0.0, 1.0, 32)
+    kernel_calls = []
+
+    def f(x):
+        kernel_calls.append(x.shape)
+        return -((x - peak) ** 2)
+
+    _golden_max(f, np.zeros(32), np.ones(32), 20)
+    assert kernel_calls == [(32,), (32,)] + [(15, 32)] * 5
+    assert counted.calls == {"arange": 1, "empty": 5, "where": 65, "zeros_like": 5}
+
+
 def _on_path(calls, lane, probes):
     """Lane ``lane``'s probes in a golden search's ``calls`` of ``f``.
 
@@ -384,6 +425,42 @@ def test_golden_lanes_take_each_float_search_path(lanes, iterations):
             return min(-((x - peak[i]) * (x - peak[i])), cap[i])
 
         assert best[i] == _golden_max(alone, float(lo[i]), float(hi[i]), iterations)
+        assert _on_path(calls, i, probes) == probes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(_GOLDEN_LANE, min_size=7, max_size=7), min_size=1, max_size=10),
+    st.integers(min_value=1, max_value=7),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.integers(min_value=0, max_value=30),
+)
+def test_golden_lanes_of_2d_shape_and_shared_bounds_take_each_float_search_path(
+    rows, columns, lo, width, iterations
+):
+    # As _sps_argmax searches: lanes of shape (rows, columns), scalar
+    # bounds. Only each lane's peak and cap are its own.
+    _, _, peak, cap = np.array(rows, dtype=float)[:, :columns].transpose(2, 0, 1)
+    hi = lo + width
+    calls = []
+
+    def f(x):
+        x = np.broadcast_to(x, np.broadcast_shapes(np.shape(x), peak.shape))
+        calls.append(x.reshape(*x.shape[:-2], -1))
+        return np.minimum(-((x - peak) * (x - peak)), cap)
+
+    best = _golden_max(f, lo, hi, iterations)
+    assert np.shape(best) == (peak.shape if iterations else ())
+    for i, index in enumerate(np.ndindex(peak.shape)):
+        probes = []
+
+        def alone(x):
+            probes.append(x)
+            return min(-((x - peak[index]) * (x - peak[index])), cap[index])
+
+        point = _golden_max(alone, lo, hi, iterations)
+        assert float(np.broadcast_to(best, peak.shape)[index]).hex() == point.hex()
         assert _on_path(calls, i, probes) == probes
 
 

@@ -215,3 +215,32 @@ def test_lanes_equal_float_scores_without_avx512_dispatch():
     result = run_without_avx512(NO_AVX512_CHECK + LANES_AGAINST_FLOATS)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "0", "0"]
+
+
+# A link where the WCP lane tuner and the float tuner part on an AVX-512
+# host (rate 3.5222212631526335e-05 at mu_signal 0.46932... against
+# 3.522213695571413e-05 at 0.46928...): a lane score rounds differently
+# from its float score and a golden search takes the other branch.
+# Printed as "True" where both tuners return the same tuple.
+WCP_TUNERS_AT_ONE_LINK = """
+from dataclasses import replace
+from keyrates.channel import ChannelDetectorModel
+from keyrates.finite_key.comparison import _tune_wcp, optimized_wcp_rate
+from keyrates.finite_key.core import ProtocolConfig, SecurityParams
+
+channel = ChannelDetectorModel(14.6, 0.6, 0.712, 0.0, 3.42e-9, 0.015401581602959095)
+proto = ProtocolConfig(q_z_tx=0.9, q_z_rx=0.9, block_size=10.0**6.910985652491675)
+sec = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16)
+loss = 27.106334219274718
+(lane,) = _tune_wcp([loss], channel, proto, sec, "hoeffding")
+rate, intensities, cfg = optimized_wcp_rate(
+    replace(channel, channel_loss_db=loss), proto, sec, "hoeffding"
+)
+print(lane == (rate, intensities, cfg.q_z_tx))
+"""
+
+
+def test_wcp_lane_tuner_equals_float_tuner_without_avx512_dispatch():
+    result = run_without_avx512(NO_AVX512_CHECK + WCP_TUNERS_AT_ONE_LINK)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True"]
