@@ -68,15 +68,15 @@ def _names(cls) -> tuple[str, ...]:
 
 
 # The config keys are the field names of the objects `load_config`
-# builds; only the clock rate, the source and the transmitter budget
-# are named here.
+# builds; only the clock rate, the source, the transmitter budget and
+# `eps_ec`, which no term charges (`SecurityParams`), are named here.
 _SECTIONS = {cls: _names(cls) for cls in (ChannelDetectorModel, ProtocolConfig, SecurityParams)}
 _DECOY_KEYS = _names(WcpIntensities)
 REQUIRED_KEYS = sorted(
     ("clock_rate_hz", "source_kind", "mean_photon_number", "g2")
     + tuple(name for names in _SECTIONS.values() for name in names)
 )
-_KNOWN_KEYS = {*REQUIRED_KEYS, "eta_qd", "eta_t", *_DECOY_KEYS}
+_KNOWN_KEYS = {*REQUIRED_KEYS, "eta_qd", "eta_t", "eps_ec", *_DECOY_KEYS}
 
 
 @dataclass(frozen=True)

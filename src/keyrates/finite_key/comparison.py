@@ -126,10 +126,10 @@ def _golden_max(f, lo, hi, iterations: int = 30):
     float search of that lane alone. Returns the point only; a caller
     that needs its value scores it once.
 
-    On floats, and on no lanes or more lane values than a seventh of
+    On floats, and on no lanes or more lane values than a third of
     ``_GOLDEN_BUDGET``, each step is one call of ``f``: ``iterations + 2``
     calls. Otherwise one call scores the ``_golden_heap`` of the most
-    steps, three or more, whose probes fit the budget; ``f`` must score
+    steps, two or more, whose probes fit the budget; ``f`` must score
     each stacked row as it scores that row alone. Each lane then walks
     its path through the scored heap by index, and takes its bracket
     from the heap at the path's end.
@@ -140,8 +140,8 @@ def _golden_max(f, lo, hi, iterations: int = 30):
     fc, fd = f(c), f(d)
     where = np.where if isinstance(fc, np.ndarray) else _MATH.where
     size = fc.size if where is np.where else 0
-    depth = max(1, (_GOLDEN_BUDGET // size + 1).bit_length() - 1) if size else 1
-    if depth < 3:
+    depth = (_GOLDEN_BUDGET // size + 1).bit_length() - 1 if size else 0
+    if depth < 2:
         for _ in range(iterations):
             left = fc >= fd
             a, b, x, c, d = _golden_step(where, left, a, b, c, d)
@@ -198,7 +198,7 @@ def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, .
     as well, then the first best candidate, whose lane score is ``rate``.
     The golden point and the unattenuated one are two rows of one call,
     so a call of this function makes 33 ``_sps_lanes`` calls where it
-    tunes over 73 (lane, candidate) pairs, and fewer below: 8 for one
+    tunes over 170 (lane, candidate) pairs, and fewer below: 8 for one
     lane, whose search scores 6 golden steps per call (``_golden_max``).
 
     ``rate`` is the rate every SPS tuner reports and decides by. It is
@@ -329,7 +329,7 @@ def _tune_wcp(
     keeps one grid in memory at a time. The refinement then runs for
     every loss in lockstep, and each lane's winner is scored again by
     the float path. Its 8 golden searches make 22 lane calls each for
-    over 73 losses, and 7 for 32 (``_golden_max``). Returns one
+    over 170 losses, and 7 for 32 (``_golden_max``). Returns one
     ``(rate, intensities, q_z_tx)`` per loss, each as
     ``optimized_wcp_rate`` returns it for that loss alone: bit for bit
     where NumPy's ``exp`` and ``log`` round as libm's do. Where its

@@ -57,22 +57,21 @@ EPS_MIN = 1e-100
 class SecurityParams:
     """Failure-probability budget and error-correction efficiency.
 
-    ``eps_pe`` is the total parameter-estimation budget, split equally
-    across the concentration-bound draws of whichever pipeline consumes
-    it. ``eps_pa`` and ``eps_cor`` enter the key-length formula
-    directly. ``eps_ec`` is validated but charged nowhere: no formula
-    reads it. ``f_ec >= 1`` scales the Shannon limit of the
-    error-correction leakage.
+    ``eps_pe`` is split equally over a pipeline's concentration draws (4
+    SPS, 11 WCP); ``eps_pa`` pays ``2 log2(1 / (2 eps_PA))`` and ``eps_cor``
+    the verification hash's ``log2(2 / eps_cor)``. As in Tomamichel et al.
+    (2012) and Lim et al. (2014), error correction costs that hash and
+    ``lambda_EC``, whose Shannon limit ``f_ec >= 1`` scales. No term charges
+    an error-correction failure probability: a config's ``eps_ec`` is ignored.
     """
 
     eps_pe: float
     eps_pa: float
-    eps_ec: float
     eps_cor: float
     f_ec: float
 
     def __post_init__(self) -> None:
-        for name in ("eps_pe", "eps_pa", "eps_ec", "eps_cor"):
+        for name in ("eps_pe", "eps_pa", "eps_cor"):
             value = getattr(self, name)
             if not EPS_MIN <= value < 1.0:
                 raise ValueError(f"{name} must be in [{EPS_MIN:g}, 1), got {value}")

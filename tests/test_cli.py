@@ -1,6 +1,8 @@
 """CLI: config ingestion, subcommands, CSV schemas and exit codes."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from keyrates.cli import (
     MAX_POINTS,
     MAX_POPULATION,
     MAX_REPS,
+    REQUIRED_KEYS,
     ExperimentConfig,
     ParseError,
     ValidationError,
@@ -76,7 +79,7 @@ class TestLoadConfig:
         # so renaming a field would rename its key; this pins all of them.
         assert str(excinfo.value) == (
             "missing required keys: block_size, channel_loss_db, clock_rate_hz, "
-            "dark_count_rate_cps, detection_efficiency, eps_cor, eps_ec, eps_pa, eps_pe, "
+            "dark_count_rate_cps, detection_efficiency, eps_cor, eps_pa, eps_pe, "
             "f_ec, fiber_optics_efficiency, g2, gate_width_s, mean_photon_number, "
             "misalignment_prob, pre_attenuation, q_z_rx, q_z_tx, source_kind"
         )
@@ -124,7 +127,9 @@ class TestLoadConfig:
         with pytest.raises(ParseError):
             load_config(path)
 
-    @pytest.mark.parametrize("entry", ["g2 = nan", "f_ec = inf", "block_size = -inf"])
+    @pytest.mark.parametrize(
+        "entry", ["g2 = nan", "f_ec = inf", "block_size = -inf", "eps_ec = nan"]
+    )
     def test_non_finite_value_rejected_with_line(self, tmp_path, capsys, entry):
         key = entry.split(" = ")[0]
         lines = [
@@ -155,6 +160,33 @@ class TestRateCommand:
         assert values["rate_per_second"] == values["rate_per_pulse"] * 76.13e6
         assert values["rate_per_second"] == pytest.approx(82e3, rel=0.25)
         assert "# consistency:" in out
+
+    @pytest.mark.parametrize("key", [key for key in REQUIRED_KEYS if key != "source_kind"])
+    def test_every_required_key_reaches_the_rate(self, tmp_path, capsys, key):
+        # A required key that no formula reads would leave the output as it is.
+        field = Path(bundled_field_config()).read_text()
+        assert run(["rate", bundled_field_config()]) == 0
+        unmodified = capsys.readouterr().out
+        text, count = re.subn(
+            rf"^({key} = )(.*)$", lambda m: f"{m[1]}{float(m[2]) * 0.9!r}", field, flags=re.M
+        )
+        assert count == 1
+        assert run(["rate", write_cfg(tmp_path, text)]) == 0
+        assert capsys.readouterr().out != unmodified
+
+    @pytest.mark.parametrize("command", ["rate", "compare"])
+    def test_eps_ec_is_accepted_and_ignored(self, tmp_path, capsys, command):
+        texts = (
+            FIELD_CFG_TEXT,
+            FIELD_CFG_TEXT.replace("eps_ec = 4.1666666667e-12", "eps_ec = 0.5"),
+            FIELD_CFG_TEXT.replace("eps_ec = 4.1666666667e-12\n", ""),
+        )
+        assert "eps_ec" not in texts[2]
+        outputs = []
+        for index, text in enumerate(texts):
+            assert run([command, write_cfg(tmp_path, text, f"case{index}.cfg")]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1:] == outputs[:1] * 2
 
     def test_validation_failure_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, FIELD_CFG_TEXT.replace("g2 = 0.00698", "g2 = 4.0"))

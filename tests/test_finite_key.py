@@ -33,7 +33,6 @@ FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
 FIELD_SEC = SecurityParams(
     eps_pe=11e-10 / 12,
     eps_pa=1e-10 / 24,
-    eps_ec=1e-10 / 24,
     eps_cor=1e-15,
     f_ec=1.16,
 )

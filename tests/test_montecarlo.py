@@ -28,7 +28,7 @@ from keyrates.photon_source import SourceKind, SourceSpec
 from keyrates.seeding import spawned_generators
 
 FIELD_CHANNEL = ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254)
-FIELD_SEC = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16)
+FIELD_SEC = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-15, 1.16)
 FIELD_SPEC = TrialSpec(
     source=SourceSpec(SourceKind.SPS, 0.292, 0.00698),
     channel=FIELD_CHANNEL,

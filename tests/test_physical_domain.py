@@ -162,7 +162,7 @@ def test_protocol_mask_is_false_exactly_where_the_config_raises(
 # written so that a comparison with NaN fails it.
 _FIELD_PARAMS = (
     ChannelDetectorModel(14.6, 0.6, 0.712, 43.0, 3.42e-9, 0.0254),
-    SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16),
+    SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-15, 1.16),
     ProtocolConfig(q_z_tx=0.9),
 )
 

@@ -230,7 +230,7 @@ from keyrates.finite_key.core import ProtocolConfig, SecurityParams
 
 channel = ChannelDetectorModel(14.6, 0.6, 0.712, 0.0, 3.42e-9, 0.015401581602959095)
 proto = ProtocolConfig(q_z_tx=0.9, q_z_rx=0.9, block_size=10.0**6.910985652491675)
-sec = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-10 / 24, 1e-15, 1.16)
+sec = SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-15, 1.16)
 loss = 27.106334219274718
 (lane,) = _tune_wcp([loss], channel, proto, sec, "hoeffding")
 rate, intensities, cfg = optimized_wcp_rate(
