@@ -18,20 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..asymptotic import BoundaryCurve, EmptyCurve
-from ..channel import ChannelDetectorModel
+from ..channel import ChannelDetectorModel, link_transmittance
 from ..photon_source import SourceKind, SourceSpec
-from .core import ProtocolConfig, SecurityParams, _MATH, _ops, _protocol_valid, _sps_lanes
-from .wcp import (
-    DecoyInfeasible,
-    WcpIntensities,
-    _wcp_lanes,
-    _wcp_valid,
-    wcp_finite_key_rate,
+from .core import (
+    ProtocolConfig, SecurityParams, _MATH, _float_or_numpy, _ops, _protocol_valid, _sps_lanes,
 )
+from .wcp import WcpIntensities, _wcp_distil, _wcp_lanes, _wcp_valid
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Most lane values per objective call of a golden search; such a call is mostly overhead.
-_GOLDEN_BUDGET = 512
+_GOLDEN_BUDGET = 672
 
 # Transmitter basis-ratio candidates shared by both technologies.
 Q_TX_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
@@ -127,12 +123,12 @@ def _golden_max(f, lo, hi, iterations: int = 30):
     that needs its value scores it once.
 
     On floats, and on no lanes or more lane values than a third of
-    ``_GOLDEN_BUDGET``, each step is one call of ``f``: ``iterations + 2``
-    calls. Otherwise one call scores the ``_golden_heap`` of the most
-    steps, two or more, whose probes fit the budget; ``f`` must score
-    each stacked row as it scores that row alone. Each lane then walks
-    its path through the scored heap by index, and takes its bracket
-    from the heap at the path's end.
+    ``_GOLDEN_BUDGET`` (224), each step is one call of ``f``:
+    ``iterations + 2`` calls. Otherwise one call scores the
+    ``_golden_heap`` of the most steps, two or more, whose probes fit
+    the budget; ``f`` must score each stacked row as it scores that row
+    alone. Each lane then walks its path through the scored heap by
+    index, and takes its bracket from the heap at the path's end.
     """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
@@ -198,8 +194,9 @@ def _sps_argmax(n_mean, g2, loss_db, channel, proto, sec) -> tuple[np.ndarray, .
     as well, then the first best candidate, whose lane score is ``rate``.
     The golden point and the unattenuated one are two rows of one call,
     so a call of this function makes 33 ``_sps_lanes`` calls where it
-    tunes over 170 (lane, candidate) pairs, and fewer below: 8 for one
-    lane, whose search scores 6 golden steps per call (``_golden_max``).
+    tunes over 224 (lane, candidate) pairs, and fewer below, scoring
+    several golden steps per call (``_golden_max``): 18 for 31 or 32
+    losses, 8 for one.
 
     ``rate`` is the rate every SPS tuner reports and decides by. It is
     ``sps_expected_rate`` at the lane's point, 0 where that raises: bit
@@ -251,47 +248,45 @@ def optimized_sps_rate(
 def _wcp_rate_or_zero(
     mu_s, mu_d, p_s, p_d, q_tx, channel, proto, sec, concentration
 ) -> float:
-    """Scalar WCP rate at a tuner point, 0 where the pipeline rejects it.
+    """``wcp_finite_key_rate(...).rate_per_pulse`` under ``q_tx``, 0 where that raises.
 
-    Takes its point in the order of the ``_wcp_lanes`` scorer. ``proto``
-    is used as it is where its ``q_z_tx`` is ``q_tx``.
+    Takes its point in the order of the ``_wcp_lanes`` scorer, and makes
+    the public function's ``_float_or_numpy(_wcp_distil, ...)`` call
+    without its dataclasses or its ``concentration`` check.
     """
     rest = (proto.q_z_rx, proto.block_size, proto.pre_attenuation)
     if not (_wcp_valid(mu_s, mu_d, p_s, p_d) and _protocol_valid(q_tx, *rest)):
         return 0.0
-    cfg = proto if proto.q_z_tx == q_tx else replace(proto, q_z_tx=q_tx)
-    try:
-        ints = WcpIntensities(mu_s, mu_d, p_s, p_d)
-        return wcp_finite_key_rate(ints, channel, cfg, sec, concentration).rate_per_pulse
-    except DecoyInfeasible:
-        return 0.0
+    eta = link_transmittance(channel)
+    report, *masks = _float_or_numpy(
+        _wcp_distil, (mu_s, mu_d, p_s, p_d, q_tx, eta, channel, proto, sec, concentration)
+    )
+    return 0.0 if any(masks) else report.rate_per_pulse
 
 
 @functools.cache
-def _wcp_seed_grid() -> tuple[list[tuple[float, ...]], tuple[np.ndarray, ...]]:
-    """The (q_tx, mu_s, mu_d, p_s, share) seed grid of the WCP tuner, as rows and as columns.
+def _wcp_seed_grid() -> np.ndarray:
+    """The WCP tuner's seed points, as the columns of rows q_tx, mu_s, mu_d, p_s, share and p_d.
 
-    Every point has ``0 < mu_d < mu_s``, ``0 < p_s < 1`` and ``0 <
-    share < 1``, as ``_refine_wcp`` needs. Built on first use, which
-    keeps it out of the import of commands that tune no WCP side.
+    Nested loops over the five grids in this order, kept where ``mu_d <
+    mu_s``; ``p_d = (1 - p_s) share``. Every point has ``0 < mu_d <
+    mu_s``, ``0 < p_s < 1`` and ``0 < share < 1``, as ``_refine_wcp``
+    needs. Built on first use, out of the import of commands that tune
+    no WCP side.
     """
-    rows = [
-        (q_tx, mu_s, mu_d, p_s, share)
-        for q_tx in Q_TX_GRID
-        for mu_s in WCP_MU_SIGNAL_GRID
-        for mu_d in WCP_MU_DECOY_GRID
-        if mu_d < mu_s
-        for p_s in WCP_P_SIGNAL_GRID
-        for share in WCP_P_DECOY_SHARE_GRID
-    ]
-    return rows, tuple(np.array(column) for column in zip(*rows))
+    axes = (Q_TX_GRID, WCP_MU_SIGNAL_GRID, WCP_MU_DECOY_GRID, WCP_P_SIGNAL_GRID,
+            WCP_P_DECOY_SHARE_GRID)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"))
+    grid = grid[:, grid[2] < grid[1]]
+    return np.vstack([grid, (1.0 - grid[3]) * grid[4]])
 
 
 def _wcp_seed(loss_db: float, channel, proto, sec, concentration) -> tuple:
-    """The first best point of the seed grid at one loss, in one kernel call."""
-    rows, (q_tx, mu_s, mu_d, p_s, share) = _wcp_seed_grid()
+    """The first best point of the seed grid at one loss, in one kernel call, as floats."""
+    grid = _wcp_seed_grid()
+    q_tx, mu_s, mu_d, p_s, _, p_d = grid
     lanes = _wcp_lanes(loss_db, channel, proto, sec, concentration)
-    return rows[int(np.argmax(lanes(mu_s, mu_d, p_s, (1.0 - p_s) * share, q_tx)))]
+    return tuple(grid[:5, np.argmax(lanes(mu_s, mu_d, p_s, p_d, q_tx))].tolist())
 
 
 def _refine_wcp(score, q_tx, mu_s, mu_d, p_s, share):
@@ -327,9 +322,9 @@ def _tune_wcp(
 
     Each loss scores the seed grid in its own ``_wcp_lanes`` call, which
     keeps one grid in memory at a time. The refinement then runs for
-    every loss in lockstep, and each lane's winner is scored again by
-    the float path. Its 8 golden searches make 22 lane calls each for
-    over 170 losses, and 7 for 32 (``_golden_max``). Returns one
+    every loss in lockstep, and ``_wcp_rate_or_zero`` scores each lane's
+    winner again. Its 8 golden searches make 22 lane calls each for
+    over 224 losses, and 7 for 32 (``_golden_max``). Returns one
     ``(rate, intensities, q_z_tx)`` per loss, each as
     ``optimized_wcp_rate`` returns it for that loss alone: bit for bit
     where NumPy's ``exp`` and ``log`` round as libm's do. Where its

@@ -113,18 +113,19 @@ def _yield_floor(lo_decoy, up_signal, lo_vacuum, up_vacuum, tau0, weight, ratio,
     return s0, s1
 
 
-def _wcp_expectation(mus, probs, q_z_tx, eta, p_dc, p_mis, proto: ProtocolConfig):
+def _wcp_expectation(mus, probs, q_z_tx, eta, p_dc, p_mis, proto: ProtocolConfig, ops):
     """Pulses sent, photon-number weights and expected tallies.
 
     ``mus`` and ``probs`` are the signal, decoy and vacuum intensities
-    and their emission probabilities. Returns ``n_s``, sized so that the
-    Z detections of all intensities make up ``proto.block_size``, the
-    probabilities ``tau0`` and ``tau1`` of an emitted pulse carrying
-    zero or one photon, and per intensity the Z and X detections and the
-    Z and X errors. Plain loops, as comprehensions cost more than the
-    arithmetic on floats; the sums run in the order of ``sum``.
+    and their emission probabilities, ``ops`` their ``_ops`` namespace.
+    Returns ``n_s``, sized so that the Z detections of all intensities
+    make up ``proto.block_size``, the probabilities ``tau0`` and
+    ``tau1`` of an emitted pulse carrying zero or one photon, and per
+    intensity the Z and X detections and the Z and X errors. Plain
+    loops, as comprehensions cost more than the arithmetic on floats;
+    the sums run in the order of ``sum``.
     """
-    exp = _ops(*mus, *probs, q_z_tx, eta, p_dc, p_mis, proto.q_z_rx, proto.block_size).exp
+    exp = ops.exp
     q_sift_z = q_z_tx * proto.q_z_rx
     q_sift_x = (1.0 - q_z_tx) * (1.0 - proto.q_z_rx)
     gains = []
@@ -148,16 +149,16 @@ def _wcp_expectation(mus, probs, q_z_tx, eta, p_dc, p_mis, proto: ProtocolConfig
 
 
 def _wcp_key_lengths(
-    n_s, n_zk, n_xk, m_zk, m_xk, mus, probs, tau0, tau1, n_z, sec: SecurityParams, concentration
+    n_s, n_zk, n_xk, m_zk, m_xk, mus, probs, tau0, tau1, n_z, sec, concentration, ops
 ):
     """The decoy key length of ``_wcp_expectation``'s tallies, floats or arrays.
 
-    ``n_z`` is the Z block. Returns the ``KeyReport`` and the masks of
-    the points without detections, with a negative single-photon Z
-    bound, or with a sampling-correction logarithm below one, where the
-    report is meaningless. Array callers silence NumPy's warnings.
+    ``n_z`` is the Z block, ``ops`` the numbers' ``_ops`` namespace.
+    Returns the ``KeyReport`` and the masks of the points without
+    detections, with a negative single-photon Z bound, or with a
+    sampling-correction logarithm below one, where the report is
+    meaningless. Array callers silence NumPy's warnings.
     """
-    ops = _ops(n_s, tau0, tau1, n_z, *n_zk, *n_xk, *m_zk, *m_xk, *mus, *probs)
     mu_s, mu_d = mus[0], mus[1]
     eps_1 = sec.eps_pe / WCP_CONCENTRATION_USES
     beta = math.log(1.0 / eps_1)
@@ -226,15 +227,17 @@ def _wcp_key_lengths(
 def _wcp_distil(mu_s, mu_d, p_s, p_d, q_z_tx, eta, channel, proto, sec, concentration):
     """``_wcp_key_lengths`` of the ``_wcp_expectation`` of one or more points.
 
-    ``eta`` is the link transmittance; the detector terms come from ``channel``.
+    ``eta`` is the link transmittance; the detector terms come from
+    ``channel``. One ``_ops`` check, of every number both read that they
+    do not compute, picks the namespace of both.
     """
+    p_dc, p_mis = dark_count_prob(channel), channel.misalignment_prob
+    ops = _ops(mu_s, mu_d, p_s, p_d, q_z_tx, eta, p_dc, p_mis, proto.q_z_rx, proto.block_size)
     mus = (mu_s, mu_d, 0.0)
     probs = (p_s, p_d, _p_vacuum(p_s, p_d))
-    n_s, tau0, tau1, *tallies = _wcp_expectation(
-        mus, probs, q_z_tx, eta, dark_count_prob(channel), channel.misalignment_prob, proto
-    )
+    n_s, tau0, tau1, *tallies = _wcp_expectation(mus, probs, q_z_tx, eta, p_dc, p_mis, proto, ops)
     return _wcp_key_lengths(
-        n_s, *tallies, mus, probs, tau0, tau1, proto.block_size, sec, concentration
+        n_s, *tallies, mus, probs, tau0, tau1, proto.block_size, sec, concentration, ops
     )
 
 
@@ -283,7 +286,8 @@ def _wcp_lanes(
     exactly 0 outside ``_wcp_valid`` and ``_protocol_valid`` and where
     it raises ``DecoyInfeasible``. The transmittance of each distinct
     loss comes from the scalar formula, once, so a search that scores
-    many points per lane builds the lanes once.
+    many points per lane builds the lanes once. Each term is computed
+    at the shape of the inputs it reads; only the result is broadcast.
     """
     if concentration not in CONCENTRATIONS:
         raise ValueError(f"concentration must be one of {CONCENTRATIONS}")
@@ -292,17 +296,18 @@ def _wcp_lanes(
     eta = np.array(
         [link_transmittance(replace(channel, channel_loss_db=loss)) for loss in losses.tolist()]
     )[index].reshape(loss_db.shape)
+    protocol = (proto.q_z_rx, proto.block_size, proto.pre_attenuation)
 
     def rates(mu_s, mu_d, p_s, p_d, q_z_tx) -> np.ndarray:
-        mu_s, mu_d, p_s, p_d, q_z_tx = np.broadcast_arrays(
-            *(np.asarray(a, dtype=float) for a in (mu_s, mu_d, p_s, p_d, q_z_tx))
+        mu_s, mu_d, p_s, p_d, q_z_tx = (
+            np.asarray(a, dtype=float) for a in (mu_s, mu_d, p_s, p_d, q_z_tx)
         )
         with np.errstate(all="ignore"):
             report, no_gain, infeasible, short_log = _wcp_distil(
                 mu_s, mu_d, p_s, p_d, q_z_tx, eta, channel, proto, sec, concentration
             )
         valid = _wcp_valid(mu_s, mu_d, p_s, p_d) & ~(no_gain | infeasible | short_log)
-        valid &= _protocol_valid(q_z_tx, proto.q_z_rx, proto.block_size, proto.pre_attenuation)
+        valid = valid & _protocol_valid(q_z_tx, *protocol)
         return np.where(valid, report.rate_per_pulse, 0.0)
 
     return rates

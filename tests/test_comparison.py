@@ -30,7 +30,7 @@ from keyrates.finite_key.comparison import (
     optimized_wcp_rate,
     sweep_rates,
 )
-from keyrates.finite_key import comparison
+from keyrates.finite_key import comparison, wcp
 from keyrates.finite_key.core import (
     InsufficientBlock,
     ProtocolConfig,
@@ -236,6 +236,69 @@ class TestWcpEvaluationCounts:
         assert self._counts(points) == (93, 917)
 
 
+def test_cli_compare_wcp_evaluations_skip_the_public_plumbing(monkeypatch, capsys):
+    # During one `compare`, the float scorer builds no WcpIntensities, each
+    # WCP distillation makes one ``_ops`` check, and the lane scorer
+    # broadcasts none of its inputs: its coordinates keep their shapes.
+    inside, counts, checks = [], {"builds": 0, "broadcasts": 0}, []
+
+    def scoped(name, fn):
+        def wrapper(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    def counted(key, scope, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += scope in inside
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def checked_distil(*args):
+        checks.append(0)
+        return distil(*args)
+
+    def counted_ops(*values):
+        checks[-1] += 1
+        return ops(*values)
+
+    float_score, lane_scorer = comparison._wcp_rate_or_zero, comparison._wcp_lanes
+    distil, ops = wcp._wcp_distil, wcp._ops
+    monkeypatch.setattr(comparison, "_wcp_rate_or_zero", scoped("float", float_score))
+    monkeypatch.setattr(comparison, "_wcp_lanes", lambda *args: scoped("lanes", lane_scorer(*args)))
+    monkeypatch.setattr(
+        WcpIntensities, "__post_init__", counted("builds", "float", WcpIntensities.__post_init__)
+    )
+    monkeypatch.setattr(np, "broadcast_arrays", counted("broadcasts", "lanes", np.broadcast_arrays))
+    for module in (comparison, wcp):
+        monkeypatch.setattr(module, "_wcp_distil", checked_distil)
+    monkeypatch.setattr(wcp, "_ops", counted_ops)
+    assert run(["compare", bundled_field_config()]) == 0
+    assert counts == {"builds": 0, "broadcasts": 0}
+    # 93 lane calls and up to 917 float scores, some of them rerun on NumPy.
+    assert len(checks) > 93 and set(checks) == {1}
+
+
+def test_wcp_seed_grid_columns_follow_the_nested_loops():
+    rows = [
+        (q_tx, mu_s, mu_d, p_s, share, (1.0 - p_s) * share)
+        for q_tx in Q_TX_GRID
+        for mu_s in WCP_MU_SIGNAL_GRID
+        for mu_d in WCP_MU_DECOY_GRID
+        if mu_d < mu_s
+        for p_s in WCP_P_SIGNAL_GRID
+        for share in WCP_P_DECOY_SHARE_GRID
+    ]
+    grid = comparison._wcp_seed_grid()
+    assert grid.shape == (6, 1512) == (6, len(rows))
+    assert [tuple(column) for column in grid.T.tolist()] == rows
+
+
 def _single_loss_wcp(channel, proto, losses, concentration):
     """``(rate, intensities, q_z_tx)`` of one float ``optimized_wcp_rate`` call per loss."""
     tuned = []
@@ -274,8 +337,8 @@ def test_wcp_lane_tuner_matches_single_loss_tuner_on_any_link(
 def test_wcp_refinement_bounds_keep_every_probe_valid(sign):
     # A score monotone in every coordinate drives each search to one end
     # of its bounds: from every seed point as a lane, and from one on floats.
-    rows, columns = comparison._wcp_seed_grid()
-    for start in (columns, rows[0]):
+    grid = comparison._wcp_seed_grid()[:5]
+    for start in (grid, grid[:, 0].tolist()):
         points = []
 
         def score(mu_s, mu_d, p_s, p_d, q_tx):
@@ -795,16 +858,17 @@ class TestSweep:
         assert all(a > b for a, b in zip(wcp_rates, wcp_rates[1:]))
 
     def test_cli_sweep_work_counts(self, monkeypatch, capsys):
-        # The SPS side tunes all 31 losses in one arg-max call; the WCP side
-        # scores its seed grid once per loss, then refines every loss in
-        # one lockstep of 56 lane calls, 4 golden steps per call. Each WCP
-        # winner is scored once on floats; the SPS side reports the
-        # arg-max's lane rates.
+        # The SPS side tunes all 31 losses in one arg-max call, whose 217
+        # values fit 2 golden steps per kernel call: 2 + 15 + 1 calls. The
+        # WCP side scores its seed grid once per loss, then refines every
+        # loss in one lockstep of 56 lane calls, 4 golden steps per call.
+        # Each WCP winner is scored once on floats; the SPS side reports
+        # the arg-max's lane rates.
         counts = _counted_sps_work(monkeypatch)
         losses = ["--loss-min", "0", "--loss-max", "30", "--steps", "31"]
         with _scored_wcp_points() as points:
             assert run(["sweep", bundled_field_config(), *losses]) == 0
-        assert counts == {"tuner": 1, "kernel": 33}
+        assert counts == {"tuner": 1, "kernel": 18}
         assert (len(points["lanes"]), len(points["float"])) == (87, 31)
 
     def test_cli_sweep_of_300_losses_speculates_no_probes(self, monkeypatch, capsys):

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from keyrates.asymptotic import wcp_asymptotic_rate
 from keyrates.channel import ChannelDetectorModel, link_transmittance
 from keyrates.channel import dark_count_prob
-from keyrates.finite_key.comparison import optimized_wcp_rate
+from keyrates.finite_key.comparison import Q_TX_GRID, _wcp_rate_or_zero, optimized_wcp_rate
 from keyrates.finite_key.core import (
+    _MATH,
+    _NUMPY,
     KeyReport,
     ProtocolConfig,
     SecurityParams,
@@ -216,12 +218,12 @@ def test_key_lengths_take_array_tallies_beside_scalar_parameters(concentration):
     probs = (INTENSITIES.p_signal, INTENSITIES.p_decoy, INTENSITIES.p_vacuum)
     n_s, tau0, tau1, *tallies = _wcp_expectation(
         mus, probs, PROTO.q_z_tx, link_transmittance(FIELD_CHANNEL),
-        dark_count_prob(FIELD_CHANNEL), FIELD_CHANNEL.misalignment_prob, PROTO,
+        dark_count_prob(FIELD_CHANNEL), FIELD_CHANNEL.misalignment_prob, PROTO, _MATH,
     )
     fixed = (mus, probs, tau0, tau1, PROTO.block_size, FIELD_SEC, concentration)
-    point, *point_masks = _wcp_key_lengths(n_s, *tallies, *fixed)
+    point, *point_masks = _wcp_key_lengths(n_s, *tallies, *fixed, _MATH)
     arrays = [[np.full(3, count) for count in counts] for counts in tallies]
-    batch, *batch_masks = _wcp_key_lengths(n_s, *arrays, *fixed)
+    batch, *batch_masks = _wcp_key_lengths(n_s, *arrays, *fixed, _NUMPY)
     assert point.rate_per_pulse > 0.0 and not any(point_masks)
     assert batch.key_length.tolist() == pytest.approx([point.key_length] * 3, rel=1e-12)
     assert not any(mask.any() for mask in batch_masks)
@@ -428,3 +430,73 @@ def test_distiller_reads_the_same_bits_as_the_all_bounds_reference(
         _assert_same_distillation(
             _wcp_distil(*columns, etas, *fixed), _all_bounds_distil(*columns, etas, *fixed)
         )
+
+
+# Float scorer cases: (point, channel, protocol, security), and the
+# distiller mask the point sets: 0 no gain, 1 a negative single-photon Z
+# bound, 2 a sampling-correction logarithm below one.
+_FIELD_POINT = (0.5, 0.15, 0.7, 0.2, 0.8)
+_SCORER_CASES = {
+    "field": (_FIELD_POINT, FIELD_CHANNEL, PROTO, FIELD_SEC, None),
+    "no gain": (
+        _FIELD_POINT, replace(FIELD_CHANNEL, channel_loss_db=4000.0, dark_count_rate_cps=0.0),
+        PROTO, FIELD_SEC, 0,
+    ),
+    "infeasible": (
+        _FIELD_POINT, replace(FIELD_CHANNEL, channel_loss_db=10.0),
+        replace(PROTO, block_size=1e4), FIELD_SEC, 1,
+    ),
+    "short log": (
+        _FIELD_POINT, replace(FIELD_CHANNEL, channel_loss_db=0.0),
+        replace(PROTO, block_size=1e12), replace(FIELD_SEC, eps_pe=0.9), 2,
+    ),
+    "sub-simplex": ((0.5, 0.15, 0.8, 0.3, 0.8), FIELD_CHANNEL, PROTO, FIELD_SEC, None),
+    "decoy above signal": ((0.15, 0.5, 0.7, 0.2, 0.8), FIELD_CHANNEL, PROTO, FIELD_SEC, None),
+    "no decoy": ((0.5, 0.15, 0.7, 0.0, 0.8), FIELD_CHANNEL, PROTO, FIELD_SEC, None),
+    "numpy point": (tuple(map(np.float64, _FIELD_POINT)), FIELD_CHANNEL, PROTO, FIELD_SEC, None),
+    "numpy dark counts": (
+        _FIELD_POINT, replace(FIELD_CHANNEL, dark_count_rate_cps=np.float64(43.0)),
+        PROTO, FIELD_SEC, None,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", _SCORER_CASES)
+def test_float_scorer_is_the_public_rate_or_zero(case):
+    point, channel, proto, sec, mask = _SCORER_CASES[case]
+    if mask is not None:
+        eta = link_transmittance(channel)
+        _, *masks = _float_or_numpy(_wcp_distil, (*point, eta, channel, proto, sec, "hoeffding"))
+        assert [bool(m) for m in masks] == [i == mask for i in range(3)]
+    expected = _scalar_rate(*point, channel, proto, sec, "hoeffding")
+    got = _wcp_rate_or_zero(*point, channel, proto, sec, "hoeffding")
+    assert _same_bits(got, expected)
+    assert (got > 0.0) == (case in ("field", "numpy point", "numpy dark counts"))
+
+
+def test_lane_scorer_on_mixed_shapes_matches_broadcast_copies():
+    # A golden search's (15, 32) heap of probes in one coordinate beside
+    # the other coordinates at lane shape, and a 0-d point on 32 lanes,
+    # score bit for bit what full broadcast copies score. Each call
+    # scores some lanes 0, among them points outside the validity rules.
+    rng = np.random.default_rng(11)
+    losses = np.linspace(0.0, 62.0, 32)
+    lanes = _wcp_lanes(losses, FIELD_CHANNEL, PROTO, FIELD_SEC, "hoeffding")
+    point = [
+        rng.uniform(0.3, 1.0, 32), rng.uniform(0.01, 0.35, 32), rng.uniform(0.05, 0.98, 32),
+        rng.uniform(0.0, 0.3, 32), rng.choice(Q_TX_GRID, 32),
+    ]
+    probes = [
+        rng.uniform(0.05, 1.0, (15, 32)), rng.uniform(0.0, 1.0, (15, 32)),
+        rng.uniform(0.0, 1.0, (15, 32)), rng.uniform(0.0, 0.5, (15, 32)),
+        rng.uniform(-0.1, 1.1, (15, 32)),
+    ]
+    calls = [[*point[:i], heap, *point[i + 1:]] for i, heap in enumerate(probes)]
+    calls.append([np.float64(0.5), 0.15, 0.7, np.array(0.2), 0.9])
+    for args in calls:
+        shape = np.broadcast_shapes(losses.shape, *map(np.shape, args))
+        got = lanes(*args)
+        assert got.shape == shape
+        assert _same_bits(got, lanes(*(np.broadcast_to(a, shape).copy() for a in args)))
+        assert 0 < np.count_nonzero(got) < got.size
