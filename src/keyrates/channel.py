@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .photon_source import PhotonNumberDistribution
+from .photon_source import PhotonNumberDistribution, _python_numbers
 
 
 class RateTooHigh(ValueError):
@@ -42,6 +42,7 @@ class ChannelDetectorModel:
     misalignment_prob: float
 
     def __post_init__(self) -> None:
+        _python_numbers(self)
         if not self.channel_loss_db >= 0:
             raise ValueError(f"channel_loss_db must be >= 0, got {self.channel_loss_db}")
         for name in ("fiber_optics_efficiency", "detection_efficiency"):

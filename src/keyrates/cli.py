@@ -521,6 +521,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command == "boundary" and not args.grid_max > args.grid_min:
             parser.error("boundary: --grid-max must be greater than --grid-min")
+        # The grid's last point: the ratio overflows for a tiny --grid-min.
+        if args.command == "boundary" and math.isinf(args.grid_max / args.grid_min * args.grid_min):
+            parser.error("boundary: the grid from --grid-min to --grid-max must be finite")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -242,7 +242,7 @@ def optimized_sps_rate(
     """
     n_mean, g2 = _sps_parameters(source)
     q_tx, t, rate = _sps_argmax(n_mean, g2, channel.channel_loss_db, channel, proto, sec)
-    return float(rate), replace(proto, q_z_tx=float(q_tx), pre_attenuation=float(t))
+    return float(rate), replace(proto, q_z_tx=q_tx, pre_attenuation=t)
 
 
 def _wcp_rate_or_zero(
@@ -360,8 +360,8 @@ def optimized_wcp_rate(
     9:1 optics.
 
     The whole grid is scored in one array call (``_wcp_lanes``) and its
-    first best point seeds the refinement, which evaluates
-    ``wcp_finite_key_rate`` one point at a time on floats;
+    first best point seeds the refinement, which scores with
+    ``_wcp_rate_or_zero`` one point at a time on floats;
     ``_tune_wcp`` runs the same refinement for many losses at once.
     """
     proto = replace(proto, q_z_rx=WCP_RECEIVER_Z_RATIO)

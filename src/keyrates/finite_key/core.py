@@ -23,14 +23,15 @@ and to leak fully, in both bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from ..channel import ChannelDetectorModel, link_transmittance, photon_yields
 from ..photon_source import (
-    SourceKind, SourceSpec, UndefinedG2, _sps_moment_rules, _sps_probs, _sps_valid,
+    SourceKind, SourceSpec, UndefinedG2, _python_numbers, _sps_moment_rules, _sps_probs,
+    _sps_valid,
 )
 
 # Chernoff draws charged against eps_pe by the SPS pipeline: the Z and X
@@ -71,6 +72,7 @@ class SecurityParams:
     f_ec: float
 
     def __post_init__(self) -> None:
+        _python_numbers(self)
         for name in ("eps_pe", "eps_pa", "eps_cor"):
             value = getattr(self, name)
             if not EPS_MIN <= value < 1.0:
@@ -95,6 +97,7 @@ class ProtocolConfig:
     pre_attenuation: float = 1.0
 
     def __post_init__(self) -> None:
+        _python_numbers(self)
         fields = (self.q_z_tx, self.q_z_rx, self.block_size, self.pre_attenuation)
         if not _protocol_valid(*fields):
             fault = _PROTOCOL_FAULTS[_protocol_rules(*fields).index(False)]
@@ -132,6 +135,7 @@ class TallySet:
     x_errors: float
 
     def __post_init__(self) -> None:
+        _python_numbers(self)
         if not self.n_pulses_sent >= 0:
             raise ValueError("n_pulses_sent must be >= 0")
         if not 0 <= self.z_errors <= self.z_detections:
@@ -175,7 +179,6 @@ def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
 # floats and ints, NumPy on arrays (see ``_ops``). On floats ``where``
 # gets both branches evaluated, as ``np.where`` does, and ``maximum`` and
 # ``minimum`` are the two-argument ``max`` and ``min``, faster as lambdas.
-_PYTHON_NUMBERS = frozenset((float, int))
 _MATH = SimpleNamespace(
     exp=math.exp, sqrt=math.sqrt, log2=math.log2, entropy=binary_entropy,
     maximum=lambda a, b: b if b > a else a,
@@ -188,55 +191,25 @@ _NUMPY = SimpleNamespace(
 )
 
 
-class _NumpyScalars(Exception):
-    """Raised by ``_ops`` for NumPy scalars without an array among its values."""
-
-
 def _ops(*values) -> SimpleNamespace:
-    """``_MATH`` if every value is a Python float or int, else ``_NUMPY``.
+    """``_NUMPY`` if a value is an array, else ``_MATH``.
 
-    NumPy scalars without any array raise ``_NumpyScalars``: NumPy would
-    warn where floats raise, and round otherwise than libm, so
-    ``_float_or_numpy`` reruns such a float call on Python numbers.
+    The parameter dataclasses store NumPy scalars as Python numbers
+    (``_python_numbers``), and the kernels' arrays are plain ``np.ndarray``.
     """
-    types = {*map(type, values)}
-    if types <= _PYTHON_NUMBERS:
-        return _MATH
-    if np.ndarray not in types and any(issubclass(t, np.generic) for t in types):
-        raise _NumpyScalars
-    return _NUMPY
+    return _NUMPY if np.ndarray in {*map(type, values)} else _MATH
 
 
-def _as_python(value):
-    """``value`` with its NumPy scalars, also those inside a tuple, a list
-    or the fields of a parameter dataclass, replaced by Python numbers."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, (tuple, list)):
-        return type(value)(map(_as_python, value))
-    if is_dataclass(value):
-        numpy_fields = {k: v.item() for k, v in vars(value).items() if isinstance(v, np.generic)}
-        return replace(value, **numpy_fields) if numpy_fields else value
-    return value
-
-
-def _float_or_numpy(kernel, args: tuple, coerced: bool = False):
+def _float_or_numpy(kernel, args: tuple):
     """``kernel(*args)`` on Python numbers, rerun on NumPy where they fail.
 
-    A call whose numbers include NumPy scalars (``_NumpyScalars``) is
-    made again, once, on the Python numbers they hold, so it returns
-    what the same call on floats returns, silently. Floats raise where
-    NumPy gives inf or nan, on branches that the kernel's ``where`` or
-    masks then discard (a division by zero, the root or logarithm of a
-    negative); the rerun on 0-d arrays carries them through and returns
-    NumPy scalars and 0-d arrays.
+    Floats raise where NumPy gives inf or nan, on branches that the
+    kernel's ``where`` or masks then discard (a division by zero, the
+    root or logarithm of a negative); the rerun on 0-d arrays carries
+    them through and returns NumPy scalars and 0-d arrays.
     """
     try:
         return kernel(*args)
-    except _NumpyScalars:
-        if coerced:
-            raise
-        return _float_or_numpy(kernel, tuple(map(_as_python, args)), coerced=True)
     except (ArithmeticError, ValueError):
         with np.errstate(all="ignore"):
             return kernel(*(np.asarray(a, float) if type(a) in (float, int) else a for a in args))
@@ -331,10 +304,7 @@ def _sps_key_lengths(
     the rate of a block without pulses. Array callers silence NumPy's
     floating-point warnings.
     """
-    # The rule of ``_ops``, spelled out for floats: the call would cost a
-    # twentieth of a float-path key length.
-    numbers = (n_s, n_z, n_x, z_errors, x_errors, p2, q_z_tx)
-    ops = _MATH if {*map(type, numbers)} <= _PYTHON_NUMBERS else _ops(*numbers)
+    ops = _ops(n_s, n_z, n_x, z_errors, x_errors, p2, q_z_tx)
     # The infinite-block limit, eps = 1: every bound is the count itself.
     beta = 0.0 if asymptotic else math.log(1.0 / (sec.eps_pe / SPS_CHERNOFF_USES))
 
@@ -379,8 +349,6 @@ def _sps_expectation(probs, t, yields, error_yields, q_z_tx, proto: ProtocolConf
     ``proto.block_size`` detections. Pure arithmetic, so floats and
     NumPy arrays give bit-identical results.
     """
-    # For its check alone: NumPy scalars raise ``_NumpyScalars``.
-    _ops(*probs, t, *yields, *error_yields, q_z_tx, proto.block_size, proto.q_z_rx)
     p0, p1, p2 = probs
     y0, y1, y2 = yields
     e0, e1, e2 = error_yields

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..channel import ChannelDetectorModel, dark_count_prob, link_transmittance
+from ..photon_source import _python_numbers
 from .core import (
     KeyReport,
     ProtocolConfig,
@@ -62,6 +63,7 @@ class WcpIntensities:
     p_decoy: float
 
     def __post_init__(self) -> None:
+        _python_numbers(self)
         fields = (self.mu_signal, self.mu_decoy, self.p_signal, self.p_decoy)
         if not _wcp_valid(*fields):
             fault = _WCP_FAULTS[_wcp_rules(*fields).index(False)]

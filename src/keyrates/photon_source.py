@@ -72,15 +72,26 @@ class SourceSpec:
     g2: float = 0.0
 
     def __post_init__(self) -> None:
+        _python_numbers(self)
         rules = _sps_moment_rules(self.mean_photon_number, self.g2)
         # ``distribution()`` adds the p0 rule. Coherent light ignores g2 beyond its sign.
         if not all(rules if self.kind is SourceKind.SPS else rules[:2]):
             raise _sps_fault(self.mean_photon_number, self.g2)
 
-    def distribution(self, n_max: int = DEFAULT_WCP_CUTOFF) -> PhotonNumberDistribution:
+    def distribution(self) -> PhotonNumberDistribution:
         if self.kind is SourceKind.SPS:
             return sps_distribution(self.mean_photon_number, self.g2)
-        return wcp_distribution(self.mean_photon_number, n_max)
+        return wcp_distribution(self.mean_photon_number)
+
+
+def _python_numbers(params) -> None:
+    """Store each NumPy scalar field of the dataclass ``params`` as the
+    Python number it holds, so the kernels see Python numbers or arrays.
+    A NumPy scalar is told by its ``item`` method: this module has no NumPy."""
+    fields = vars(params)
+    for name, value in fields.items():
+        if hasattr(value, "item"):
+            fields[name] = value.item()
 
 
 def _sps_probs(n_mean, g2):

@@ -528,6 +528,8 @@ class TestBoundaryCommand:
             ["--grid-max", "inf"],
             ["--grid-min", "0.4", "--grid-max", "0.4"],
             ["--grid-min", "0.4", "--grid-max", "0.2"],
+            # The ratio of the two overflows, so every grid point but the first is inf.
+            ["--grid-min", "5e-324", "--grid-max", "1.0"],
         ],
     )
     def test_degenerate_grid_is_usage_error(self, field_cfg, capsys, grid_args):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from keyrates.channel import ChannelDetectorModel, link_transmittance
 from keyrates.cli import bundled_field_config, load_config
+from keyrates.finite_key import core
 from keyrates.finite_key.comparison import Q_TX_GRID
 from keyrates.finite_key.core import (
     SPS_CHERNOFF_USES,
@@ -43,6 +44,26 @@ FIELD_SOURCE = SourceSpec(SourceKind.SPS, 0.292, 0.00698)
 def _as_numpy_scalars(params):
     """``params`` with every field passed in as a NumPy float64."""
     return replace(params, **{name: np.float64(v) for name, v in vars(params).items()})
+
+
+# One object of each parameter dataclass, with int and float fields.
+_PARAMETER_OBJECTS = [
+    SourceSpec(SourceKind.SPS, 1, 0.5),
+    ChannelDetectorModel(14, 1, 0.712, 43, 3.42e-9, 0),
+    ProtocolConfig(0.9, 0.9, 100_000_000, 1),
+    SecurityParams(11e-10 / 12, 1e-10 / 24, 1e-15, 1),
+    TallySet(1_000_000, 10_000, 100, 100, 1),
+    WcpIntensities(1, 0.15, 0.7, 0),
+]
+
+
+@pytest.mark.parametrize("params", _PARAMETER_OBJECTS, ids=lambda p: type(p).__name__)
+def test_parameter_objects_store_numpy_scalars_as_python_numbers(params):
+    for name, value in vars(params).items():
+        if type(value) in (float, int):
+            as_numpy = (np.int64 if type(value) is int else np.float64)(value)
+            stored = getattr(replace(params, **{name: as_numpy}), name)
+            assert type(stored) is type(value) and stored == value, name
 
 
 class TestBinaryEntropy:
@@ -190,6 +211,20 @@ class TestSpsExpectedRate:
         numpy_source = SourceSpec(SourceKind.SPS, *map(np.float64, (0.292, 0.00698)))
         numpy_params = map(_as_numpy_scalars, (channel, FIELD_PROTO, FIELD_SEC))
         assert outcome(numpy_source, *numpy_params) == expected
+
+    def test_numpy_scalar_parameters_run_each_kernel_once(self, monkeypatch):
+        # The parameter objects hold Python numbers, so no kernel call reruns.
+        calls = []
+        for name in ("_sps_expectation", "_sps_key_lengths"):
+            kernel = getattr(core, name)
+            monkeypatch.setattr(
+                core, name, lambda *args, k=kernel: calls.append(k.__name__) or k(*args)
+            )
+        source = SourceSpec(SourceKind.SPS, *map(np.float64, (0.292, 0.00698)))
+        params = map(_as_numpy_scalars, (FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC))
+        got = sps_expected_rate(source, *params)
+        assert calls == ["_sps_expectation", "_sps_key_lengths"]
+        assert got == sps_expected_rate(FIELD_SOURCE, FIELD_CHANNEL, FIELD_PROTO, FIELD_SEC)
 
     def test_array_distiller_gives_the_scalar_multi_photon_cap(self):
         # Both paths take the launched p2 as g2 * (<n> * <n>) / 2. At this

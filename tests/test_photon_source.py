@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyrates.photon_source import (
+    DEFAULT_WCP_CUTOFF,
     NonPhysicalSource,
     PhotonNumberDistribution,
     SourceKind,
@@ -143,8 +144,7 @@ class TestSourceSpec:
 
     def test_wcp_distribution_dispatch(self):
         spec = SourceSpec(SourceKind.WCP, 0.5)
-        dist = spec.distribution(n_max=15)
-        assert dist.n_max == 15
+        assert spec.distribution() == wcp_distribution(0.5, DEFAULT_WCP_CUTOFF)
 
     def test_invalid_pair_rejected(self):
         with pytest.raises(NonPhysicalSource):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from keyrates.asymptotic import wcp_asymptotic_rate
 from keyrates.channel import ChannelDetectorModel, link_transmittance
 from keyrates.channel import dark_count_prob
+from keyrates.finite_key import wcp
 from keyrates.finite_key.comparison import Q_TX_GRID, _wcp_rate_or_zero, optimized_wcp_rate
 from keyrates.finite_key.core import (
     _MATH,
@@ -252,6 +253,17 @@ def test_numpy_scalar_inputs_give_the_float_result_silently(loss_db, intensities
     assert got.rate_per_pulse == expected.rate_per_pulse
 
 
+def test_numpy_scalar_parameters_are_distilled_once(monkeypatch):
+    # The parameter objects hold Python numbers, so no kernel call reruns.
+    calls = []
+    distil = wcp._wcp_distil
+    monkeypatch.setattr(wcp, "_wcp_distil", lambda *args: calls.append(args) or distil(*args))
+    params = (INTENSITIES, FIELD_CHANNEL, PROTO, FIELD_SEC)
+    got = wcp_finite_key_rate(*map(_as_numpy_scalars, params))
+    assert len(calls) == 1
+    assert got == wcp_finite_key_rate(*params)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("index", [0, 3, 39])
 def test_tuned_rate_over_numpy_dark_counts_matches_floats(index):
@@ -453,7 +465,6 @@ _SCORER_CASES = {
     "sub-simplex": ((0.5, 0.15, 0.8, 0.3, 0.8), FIELD_CHANNEL, PROTO, FIELD_SEC, None),
     "decoy above signal": ((0.15, 0.5, 0.7, 0.2, 0.8), FIELD_CHANNEL, PROTO, FIELD_SEC, None),
     "no decoy": ((0.5, 0.15, 0.7, 0.0, 0.8), FIELD_CHANNEL, PROTO, FIELD_SEC, None),
-    "numpy point": (tuple(map(np.float64, _FIELD_POINT)), FIELD_CHANNEL, PROTO, FIELD_SEC, None),
     "numpy dark counts": (
         _FIELD_POINT, replace(FIELD_CHANNEL, dark_count_rate_cps=np.float64(43.0)),
         PROTO, FIELD_SEC, None,
@@ -472,7 +483,7 @@ def test_float_scorer_is_the_public_rate_or_zero(case):
     expected = _scalar_rate(*point, channel, proto, sec, "hoeffding")
     got = _wcp_rate_or_zero(*point, channel, proto, sec, "hoeffding")
     assert _same_bits(got, expected)
-    assert (got > 0.0) == (case in ("field", "numpy point", "numpy dark counts"))
+    assert (got > 0.0) == (case in ("field", "numpy dark counts"))
 
 
 def test_lane_scorer_on_mixed_shapes_matches_broadcast_copies():
